@@ -269,11 +269,16 @@ impl Scope {
         }
     }
 
-    /// Whether this scope captured a live profiler — i.e. entering it
-    /// will actually record events somewhere. Schedulers use this to
-    /// give traced work a faithful (unbatched) execution path.
-    pub fn is_traced(&self) -> bool {
-        self.profiler.is_some()
+    /// Whether `self` and `other` record into the same profiler (or
+    /// both into none). Schedulers coalesce only work whose scopes share
+    /// a target, so entering one scope traces the whole batch along the
+    /// same execution path untraced work takes.
+    pub fn same_target(&self, other: &Scope) -> bool {
+        match (&self.profiler, &other.profiler) {
+            (Some(a), Some(b)) => Arc::ptr_eq(&a.inner, &b.inner),
+            (None, None) => true,
+            _ => false,
+        }
     }
 
     /// Install the captured context on the current thread.
@@ -637,6 +642,24 @@ mod tests {
                 record("void", OpCategory::Other, OpMeta::new(), Duration::ZERO);
             });
         });
+    }
+
+    #[test]
+    fn same_target_compares_the_captured_profiler() {
+        let untraced = Scope::capture();
+        let (p, q) = (Profiler::new(), Profiler::new());
+        let (a, b) = {
+            let _a = p.activate();
+            (Scope::capture(), Scope::capture())
+        };
+        let c = {
+            let _q = q.activate();
+            Scope::capture()
+        };
+        assert!(untraced.same_target(&Scope::default()));
+        assert!(a.same_target(&b));
+        assert!(!a.same_target(&c));
+        assert!(!a.same_target(&untraced));
     }
 
     #[test]

@@ -1,42 +1,30 @@
-//! Socket-level chaos: seeded fault schedules over the gateway's
-//! failpoint sites, a reconnecting chaos client, and the outcome
-//! ledger the conservation checks run on.
+//! Socket-level chaos: a seeded fault schedule over the gateway's
+//! failpoint sites, and the wire [`Transport`] that lets
+//! [`nsai_serve::chaos::run_chaos`] drive the stack through a real
+//! gateway.
 //!
-//! The contract under test extends the serve-level one
-//! ([`nsai_serve::chaos`]) across the wire:
-//!
-//! 1. **Outcome conservation** — every request a client successfully
-//!    writes terminates in exactly one client-observed bucket:
-//!    `submitted = completed + rejected + timed_out + conn_dropped`.
-//!    Killed connections lose responses, never the accounting.
-//! 2. **Bitwise parity** — every `ok` response payload equals the
-//!    canonical encoding of the fault-free output for its case, even
-//!    with faults firing on accept, decode, and write paths.
-//! 3. **No deadlock** — every read resolves within a watchdog budget.
-//! 4. **Serve-side conservation still holds** — the gateway never
-//!    makes the inner server miscount.
+//! The serve-level contract ([`nsai_serve::chaos`]) extends across the
+//! wire unchanged: one outcome per request, balanced serve counters,
+//! survivors bitwise-identical to the canonical encoding of the
+//! fault-free output, no deadlock. The wire adds one balance equation
+//! of its own: every serve admission came through a decoded frame.
 
 use crate::client::GatewayClient;
 use crate::metrics::GatewaySnapshot;
 use crate::server::{Gateway, GatewayConfig};
-use crate::wire::{self, Status};
-use nsai_serve::chaos::ChaosWorkload;
-use nsai_serve::{MetricsSnapshot, ServeConfig, Server, ShutdownMode};
-use std::collections::BTreeMap;
-use std::time::Duration;
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+use crate::wire::{self, Status, WireError};
+use nsai_serve::chaos::{
+    splitmix64, ChaosOutcome, ChaosReport, ChaosWorkload, Transport, WATCHDOG,
+};
+use nsai_serve::{Server, ShutdownMode};
+use std::io::ErrorKind;
+use std::ops::Range;
 
 /// Derive a socket-level fault schedule from `seed` in the
 /// `NEUROSYM_FAILPOINTS` grammar — a pure function, like
 /// [`nsai_serve::chaos::chaos_schedule`], so CI logs only the seed.
 /// Every gateway site gets an error injection at a seed-chosen rate,
-/// and one serve-side site joins in so the two fault layers compose.
+/// and serve-side sites may join in so the two fault layers compose.
 pub fn gateway_chaos_schedule(seed: u64) -> String {
     let r = |salt: u64| splitmix64(seed ^ salt);
     let mut spec = vec![
@@ -66,270 +54,121 @@ pub fn gateway_chaos_schedule(seed: u64) -> String {
     spec.join(";")
 }
 
-/// One gateway chaos run's shape.
-#[derive(Debug, Clone, Copy)]
-pub struct GatewayChaosConfig {
-    /// Names the run; seeds [`gateway_chaos_schedule`].
-    pub seed: u64,
-    /// Total requests offered across all clients.
-    pub requests: usize,
-    /// Concurrent client connections.
-    pub clients: usize,
-    /// Serve worker threads.
-    pub workers: usize,
-    /// Serve admission-queue capacity.
-    pub queue_capacity: usize,
-    /// Per-connection in-flight window.
-    pub window: u32,
-    /// Per-read watchdog; an expiry is a deadlock verdict, always a
-    /// contract violation.
-    pub watchdog: Duration,
-}
-
-impl Default for GatewayChaosConfig {
-    fn default() -> Self {
-        GatewayChaosConfig {
-            seed: 0,
-            requests: 200,
-            clients: 4,
-            workers: 2,
-            queue_capacity: 64,
-            window: 8,
-            watchdog: Duration::from_secs(30),
-        }
-    }
-}
-
-/// How one offered request terminated, from the client's seat.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireOutcome {
-    /// An `ok` response; holds the raw payload for the parity check.
-    Ok(Vec<u8>),
-    /// A typed non-ok, non-deadline response (rejection, workload
-    /// failure, contained panic — anything the server *answered*).
-    Rejected(Status),
-    /// A typed `deadline_exceeded` response.
-    TimedOut,
-    /// The frame was written but no response arrived (connection
-    /// killed by an injected accept/decode/write fault or a goodbye).
-    ConnDropped,
-    /// The frame could not even be written (connection already dead).
-    SendFailed,
-    /// The watchdog expired mid-read. Any occurrence fails the run.
-    Deadlocked,
-}
-
-/// Everything a gateway chaos run observed.
+/// The wire transport: a default-config [`Gateway`] in front of the
+/// chaos server, driven by clients that send one request at a time and
+/// reconnect after every killed connection. Outcomes settle on the
+/// client thread (reads time out at [`WATCHDOG`]).
 #[derive(Debug)]
-pub struct GatewayChaosReport {
-    /// Requests offered (== [`GatewayChaosConfig::requests`]).
-    pub offered: usize,
-    /// Per-case terminal outcomes.
-    pub outcomes: BTreeMap<u64, WireOutcome>,
-    /// Frozen gateway metrics, taken after shutdown.
-    pub gateway: GatewaySnapshot,
-    /// Frozen serve metrics, taken after shutdown.
-    pub serve: MetricsSnapshot,
-    /// Serve workers alive after traffic, before shutdown.
-    pub live_workers_after_traffic: usize,
+pub struct Wire {
+    gateway: Gateway,
+    workload: u32,
 }
 
-impl GatewayChaosReport {
-    fn count(&self, f: impl Fn(&WireOutcome) -> bool) -> usize {
-        self.outcomes.values().filter(|o| f(o)).count()
+impl Wire {
+    fn connect(&self) -> Option<GatewayClient> {
+        let mut client = GatewayClient::connect(self.gateway.local_addr(), self.workload).ok()?;
+        client.set_read_timeout(Some(WATCHDOG)).ok()?;
+        Some(client)
+    }
+}
+
+/// One round trip on `client`: `Ok` with the outcome of a typed
+/// response, or `Err` with the outcome when the connection died.
+fn round_trip(
+    client: &mut GatewayClient,
+    case: u64,
+) -> Result<ChaosOutcome<Vec<u8>>, ChaosOutcome<Vec<u8>>> {
+    client
+        .send_request(case)
+        .map_err(|_| ChaosOutcome::Refused)?;
+    let raw = client.read_response().map_err(|e| match e {
+        WireError::Disconnected(e)
+            if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+        {
+            ChaosOutcome::Deadlocked
+        }
+        _ => ChaosOutcome::ConnDropped,
+    })?;
+    // A goodbye instead of our response: the request died with the
+    // connection.
+    if raw.terminal {
+        return Err(ChaosOutcome::ConnDropped);
+    }
+    Ok(match raw.status {
+        Status::Ok => ChaosOutcome::Ok(raw.payload),
+        Status::WorkloadError => {
+            ChaosOutcome::WorkloadErr(String::from_utf8_lossy(&raw.payload).into_owned())
+        }
+        Status::WorkerPanicked => ChaosOutcome::Panicked,
+        Status::DeadlineExceeded => ChaosOutcome::TimedOut,
+        Status::Aborted => ChaosOutcome::Aborted,
+        Status::QueueFull | Status::WindowExceeded => ChaosOutcome::Rejected,
+        Status::UnknownWorkload
+        | Status::ShuttingDown
+        | Status::BadFrame
+        | Status::FrameTooLarge => ChaosOutcome::Refused,
+    })
+}
+
+impl Transport for Wire {
+    type Output = Vec<u8>;
+    type Pending = ChaosOutcome<Vec<u8>>;
+    type Stats = GatewaySnapshot;
+
+    fn attach(server: Server) -> Self {
+        let gateway = Gateway::start(server, GatewayConfig::default()).expect("gateway must start");
+        let workload = gateway.workload_id("chaos").expect("chaos registered");
+        Wire { gateway, workload }
     }
 
-    /// `true` when any read blew the watchdog.
-    pub fn deadlocked(&self) -> bool {
-        self.count(|o| matches!(o, WireOutcome::Deadlocked)) > 0
+    fn server(&self) -> &Server {
+        self.gateway.server()
     }
 
-    /// Check outcome conservation on the client ledger and on the
-    /// inner server's counters.
-    ///
-    /// # Errors
-    ///
-    /// A description of the first violated balance equation.
-    pub fn check_conservation(&self) -> Result<(), String> {
-        if self.outcomes.len() != self.offered {
+    fn submit(&self, cases: Range<u64>) -> Vec<(u64, Self::Pending)> {
+        let mut conn: Option<GatewayClient> = None;
+        cases
+            .map(|case| {
+                if conn.is_none() {
+                    conn = self.connect();
+                }
+                let outcome = match conn.as_mut() {
+                    None => Err(ChaosOutcome::Refused),
+                    Some(client) => round_trip(client, case),
+                };
+                let outcome = outcome.unwrap_or_else(|dead| {
+                    conn = None;
+                    dead
+                });
+                (case, outcome)
+            })
+            .collect()
+    }
+
+    fn shutdown(&self, mode: ShutdownMode) {
+        self.gateway.shutdown(mode);
+    }
+
+    fn settle(&self, pending: Self::Pending) -> ChaosOutcome<Vec<u8>> {
+        pending
+    }
+
+    fn stats(&self) -> GatewaySnapshot {
+        self.gateway.metrics_snapshot()
+    }
+
+    fn reference(case: u64) -> Vec<u8> {
+        wire::encode_output(&ChaosWorkload::expected(case))
+    }
+
+    /// Every serve admission came through a decoded frame.
+    fn check_balance(report: &ChaosReport<Self>) -> Result<(), String> {
+        let (submitted, frames_in) = (report.metrics.submitted, report.transport.frames_in);
+        if submitted > frames_in {
             return Err(format!(
-                "client ledger: {} outcomes for {} offered requests",
-                self.outcomes.len(),
-                self.offered
-            ));
-        }
-        if self.deadlocked() {
-            return Err("watchdog: at least one response never arrived".to_string());
-        }
-        let completed = self.count(|o| matches!(o, WireOutcome::Ok(_)));
-        let rejected = self.count(|o| matches!(o, WireOutcome::Rejected(_)));
-        let timed_out = self.count(|o| matches!(o, WireOutcome::TimedOut));
-        let conn_dropped = self.count(|o| matches!(o, WireOutcome::ConnDropped));
-        let send_failed = self.count(|o| matches!(o, WireOutcome::SendFailed));
-        let submitted = self.offered - send_failed;
-        if completed + rejected + timed_out + conn_dropped != submitted {
-            return Err(format!(
-                "wire ledger: submitted {submitted} != completed {completed} \
-                 + rejected {rejected} + timed_out {timed_out} + conn_dropped {conn_dropped}"
-            ));
-        }
-        // The gateway must never make the inner server miscount.
-        let m = &self.serve;
-        if m.submitted != m.completed + m.panicked + m.timed_out + m.aborted {
-            return Err(format!(
-                "serve counters under socket chaos: submitted {} != completed {} \
-                 + panicked {} + timed_out {} + aborted {}",
-                m.submitted, m.completed, m.panicked, m.timed_out, m.aborted
-            ));
-        }
-        // Every serve admission came through a decoded frame.
-        if m.submitted > self.gateway.frames_in {
-            return Err(format!(
-                "serve admitted {} requests from only {} decoded frames",
-                m.submitted, self.gateway.frames_in
+                "serve admitted {submitted} requests from only {frames_in} decoded frames"
             ));
         }
         Ok(())
-    }
-
-    /// Check that every `ok` payload is bitwise-identical to the
-    /// canonical encoding of the fault-free output for its case.
-    ///
-    /// # Errors
-    ///
-    /// The first case whose surviving payload diverges.
-    pub fn check_parity(&self) -> Result<usize, String> {
-        let mut checked = 0;
-        for (case, outcome) in &self.outcomes {
-            if let WireOutcome::Ok(payload) = outcome {
-                let expected = wire::encode_output(&ChaosWorkload::expected(*case));
-                if *payload != expected {
-                    return Err(format!(
-                        "case {case}: gateway payload {payload:?} != fault-free {expected:?}"
-                    ));
-                }
-                checked += 1;
-            }
-        }
-        Ok(checked)
-    }
-}
-
-/// One chaos client's request loop: submit `cases` one at a time over
-/// a gateway connection, reconnecting after every kill, and record one
-/// outcome per case.
-fn chaos_client(
-    addr: std::net::SocketAddr,
-    workload: u32,
-    cases: std::ops::Range<u64>,
-    watchdog: Duration,
-) -> Vec<(u64, WireOutcome)> {
-    let mut conn: Option<GatewayClient> = None;
-    let mut outcomes = Vec::with_capacity((cases.end.saturating_sub(cases.start)) as usize);
-    for case in cases {
-        if conn.is_none() {
-            conn = match GatewayClient::connect(addr, workload) {
-                Ok(mut client) => match client.set_read_timeout(Some(watchdog)) {
-                    Ok(()) => Some(client),
-                    Err(_) => None,
-                },
-                Err(_) => None,
-            };
-        }
-        let Some(client) = conn.as_mut() else {
-            outcomes.push((case, WireOutcome::SendFailed));
-            continue;
-        };
-        if client.send_request(case).is_err() {
-            outcomes.push((case, WireOutcome::SendFailed));
-            conn = None;
-            continue;
-        }
-        match client.read_response() {
-            Ok(raw) if raw.terminal => {
-                // A goodbye instead of our response: the request died
-                // with the connection.
-                outcomes.push((case, WireOutcome::ConnDropped));
-                conn = None;
-            }
-            Ok(raw) => match raw.status {
-                Status::Ok => outcomes.push((case, WireOutcome::Ok(raw.payload))),
-                Status::DeadlineExceeded => outcomes.push((case, WireOutcome::TimedOut)),
-                status => outcomes.push((case, WireOutcome::Rejected(status))),
-            },
-            Err(wire::WireError::Disconnected(e))
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                outcomes.push((case, WireOutcome::Deadlocked));
-                conn = None;
-            }
-            Err(_) => {
-                outcomes.push((case, WireOutcome::ConnDropped));
-                conn = None;
-            }
-        }
-    }
-    outcomes
-}
-
-/// Run one socket-level chaos episode: a gateway over a
-/// [`ChaosWorkload`] server, `fault_spec` armed (when given),
-/// `config.requests` offered across `config.clients` reconnecting
-/// client threads, drain shutdown, ledger collection.
-///
-/// With `fault_spec = None` this is the fault-free baseline of the
-/// same traffic shape (useful to prove the harness itself balances).
-///
-/// # Panics
-///
-/// On harness bugs (server/gateway construction failure, poisoned
-/// client threads) — never as part of the contract under test.
-pub fn run_gateway_chaos(
-    config: &GatewayChaosConfig,
-    fault_spec: Option<&str>,
-) -> GatewayChaosReport {
-    let server = Server::builder(
-        ServeConfig::default()
-            .workers(config.workers)
-            .queue_capacity(config.queue_capacity),
-    )
-    .register("chaos", || Box::new(ChaosWorkload))
-    .start()
-    .expect("chaos server must start");
-    let gateway = Gateway::start(server, GatewayConfig::default().window(config.window))
-        .expect("gateway must start");
-    let addr = gateway.local_addr();
-    let workload = gateway.workload_id("chaos").expect("chaos registered");
-
-    let _guard = fault_spec.map(nsai_core::failpoint::FailpointGuard::arm_many);
-
-    let per_client = config.requests.div_ceil(config.clients.max(1));
-    let outcomes: BTreeMap<u64, WireOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..config.clients)
-            .map(|client| {
-                let lo = (client * per_client).min(config.requests) as u64;
-                let hi = ((client + 1) * per_client).min(config.requests) as u64;
-                let watchdog = config.watchdog;
-                scope.spawn(move || chaos_client(addr, workload, lo..hi, watchdog))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("chaos client thread"))
-            .collect()
-    });
-
-    let live_workers_after_traffic = gateway.server().live_workers();
-    // Snapshots come after the drain so every admitted request has
-    // reached its terminal counter before the books are balanced.
-    gateway.shutdown(ShutdownMode::Drain);
-
-    GatewayChaosReport {
-        offered: config.requests,
-        outcomes,
-        gateway: gateway.metrics_snapshot(),
-        serve: gateway.server().metrics_snapshot(),
-        live_workers_after_traffic,
     }
 }

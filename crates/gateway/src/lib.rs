@@ -35,8 +35,10 @@
 //!   first, so no responder blocks on an unresolved ticket).
 //! - Chaos: four failpoint sites (`gateway::accept`,
 //!   `gateway::conn_spawn`, `gateway::decode`,
-//!   `gateway::write_response`) plus a seeded socket-level harness
-//!   ([`chaos`]) with an outcome-conservation ledger.
+//!   `gateway::write_response`), a seeded schedule over them, and the
+//!   wire transport ([`chaos::Wire`]) that runs the shared
+//!   [`nsai_serve::chaos`] harness and its outcome-conservation ledger
+//!   through a live gateway.
 //!
 //! ## Example
 //!

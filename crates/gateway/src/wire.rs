@@ -651,6 +651,13 @@ mod tests {
             read_frame(&mut bytes.as_slice()),
             Err(WireError::TooLarge(_))
         ));
+        // A length of exactly the cap is legal: the reader goes on to
+        // read the (here missing) payload.
+        bytes[24..28].copy_from_slice(&MAX_PAYLOAD.to_le_bytes());
+        assert!(matches!(
+            read_frame(&mut bytes.as_slice()),
+            Err(WireError::Disconnected(_))
+        ));
         // And the writer refuses to produce one.
         let frame = Frame::Response {
             id: 1,

@@ -6,7 +6,7 @@
 
 use nsai_gateway::wire::{self, Status};
 use nsai_gateway::{Gateway, GatewayClient, GatewayConfig, ShutdownMode};
-use nsai_serve::chaos::ChaosWorkload;
+use nsai_serve::chaos::{splitmix64, ChaosWorkload};
 use nsai_serve::{ServeConfig, Server};
 use nsai_workloads::{CaseInput, Lnn, LnnConfig, Workload};
 use std::collections::BTreeMap;
@@ -18,13 +18,6 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// The seeded request set: `count` case ids derived purely from `seed`.

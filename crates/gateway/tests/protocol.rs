@@ -108,6 +108,8 @@ fn client_side_response_frames_are_a_protocol_violation() {
 
 #[test]
 fn mid_frame_disconnect_is_counted_and_contained() {
+    // Serves real requests, so no other test may have faults armed.
+    let _s = serial();
     let gateway = start_gateway(8);
     {
         let mut client = connect(&gateway);
@@ -141,6 +143,8 @@ fn mid_frame_disconnect_is_counted_and_contained() {
 
 #[test]
 fn unknown_workload_is_rejected_without_killing_the_connection() {
+    // Serves real requests, so no other test may have faults armed.
+    let _s = serial();
     let gateway = start_gateway(8);
     let mut client = GatewayClient::connect(gateway.local_addr(), 7).expect("connect");
     client

@@ -26,7 +26,10 @@
 //!   to per-case outputs keeps results independent of timing.
 //! - **Per-request observability**: a request may carry a
 //!   [`nsai_core::profile::Scope`] so one tenant's trace lands in their
-//!   own profiler while the server maintains lock-free aggregate metrics
+//!   own profiler. Batches form only among requests bound for the same
+//!   profiler, and a traced batch runs the same `run_batch` call as an
+//!   untraced one, so tracing never changes what executes. The server
+//!   also maintains lock-free aggregate metrics
 //!   ([`ServerMetrics`]): log-bucketed latency histograms (p50/p95/p99),
 //!   queue depth, batch-size distribution, and reject counts.
 //! - A seeded [`loadgen`] module provides open-loop Poisson and

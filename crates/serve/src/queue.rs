@@ -121,13 +121,13 @@ impl BoundedQueue {
         }
     }
 
-    /// Steal queued requests for `workload` into `batch` until it holds
-    /// `max_batch` entries, waiting up to `max_wait` for stragglers.
-    /// FIFO order among stolen requests is preserved; requests for other
-    /// workloads are left in place for other workers.
+    /// Steal queued requests that share `batch[0]`'s workload and
+    /// profiler target into `batch` until it holds `max_batch` entries,
+    /// waiting up to `max_wait` for stragglers. FIFO order among stolen
+    /// requests is preserved; other requests are left in place for
+    /// other workers.
     pub(crate) fn fill_batch(
         &self,
-        workload: usize,
         batch: &mut Vec<QueuedRequest>,
         max_batch: usize,
         max_wait: Duration,
@@ -137,7 +137,10 @@ impl BoundedQueue {
         loop {
             let mut i = 0;
             while batch.len() < max_batch && i < state.items.len() {
-                if state.items[i].workload == workload {
+                if batch
+                    .first()
+                    .is_some_and(|head| head.batches_with(&state.items[i]))
+                {
                     // `i` is bounds-checked by the loop condition, so
                     // `remove` cannot return `None`; the `else` arm keeps
                     // the hot path panic-free regardless.
@@ -262,10 +265,29 @@ mod tests {
         let first = queue.pop_wait().expect("queued");
         assert_eq!(first.workload, 0);
         let mut batch = vec![first];
-        queue.fill_batch(0, &mut batch, 3, Duration::from_micros(0));
+        queue.fill_batch(&mut batch, 3, Duration::from_micros(0));
         let cases: Vec<u64> = batch.iter().map(|r| r.input.case).collect();
         assert_eq!(cases, vec![0, 1, 2]);
         assert_eq!(queue.len(), 2);
+    }
+
+    #[test]
+    fn fill_batch_steals_only_the_same_profiler_target() {
+        let queue = BoundedQueue::new(8);
+        let profiler = nsai_core::profile::Profiler::new();
+        queue.try_push(request(0, 0)).ok();
+        {
+            let _active = profiler.activate();
+            queue.try_push(request(0, 1)).ok();
+        }
+        queue.try_push(request(0, 2)).ok();
+        let mut batch = vec![queue.pop_wait().expect("queued")];
+        queue.fill_batch(&mut batch, 8, Duration::from_micros(0));
+        let cases: Vec<u64> = batch.iter().map(|r| r.input.case).collect();
+        assert_eq!(cases, vec![0, 2]);
+        let mut traced = vec![queue.pop_wait().expect("queued")];
+        queue.fill_batch(&mut traced, 8, Duration::from_micros(0));
+        assert_eq!(traced.len(), 1);
     }
 
     #[test]
@@ -281,7 +303,7 @@ mod tests {
             })
         };
         let mut batch = vec![first];
-        queue.fill_batch(0, &mut batch, 2, Duration::from_millis(500));
+        queue.fill_batch(&mut batch, 2, Duration::from_millis(500));
         producer.join().unwrap();
         assert_eq!(batch.len(), 2);
     }

@@ -147,6 +147,14 @@ pub(crate) struct QueuedRequest {
     pub deadline: Option<Instant>,
 }
 
+impl QueuedRequest {
+    /// Whether `other` may share a `run_batch` call with `self`: same
+    /// workload, and events recorded into the same profiler (or none).
+    pub fn batches_with(&self, other: &QueuedRequest) -> bool {
+        self.workload == other.workload && self.scope.same_target(&other.scope)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

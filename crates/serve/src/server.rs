@@ -423,7 +423,6 @@ fn worker_loop(shared: &SharedState, mut replicas: Vec<Box<dyn Workload + Send>>
         let mut batch = vec![first];
         if shared.config.max_batch > 1 {
             shared.queue.fill_batch(
-                workload,
                 &mut batch,
                 shared.config.max_batch,
                 std::time::Duration::from_micros(shared.config.max_wait_us),
@@ -455,60 +454,35 @@ fn worker_loop(shared: &SharedState, mut replicas: Vec<Box<dyn Workload + Send>>
         // and a `panic` here would be a server bug surfacing at join).
         let _ = failpoint::fire("serve::server::batch_dispatch");
 
-        // Traced requests (submitted under an active profiler) run
-        // individually so their events attribute to exactly one
-        // request; the rest execute as one `run_batch` call.
-        let (traced, untraced): (Vec<_>, Vec<_>) =
-            live.into_iter().partition(|r| r.scope.is_traced());
-
-        if !untraced.is_empty() {
-            let inputs: Vec<CaseInput> = untraced.iter().map(|r| r.input).collect();
-            let replica = &mut replicas[workload];
-            let started = Instant::now();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                // Chaos site: a `panic` exercises containment + rebuild;
-                // `return_err` fails every request in the batch with a
-                // workload error, bypassing execution.
-                if failpoint::fire("serve::server::replica_run") {
-                    return inputs
-                        .iter()
-                        .map(|_| Err(injected_replica_error()))
-                        .collect();
-                }
-                replica.run_batch(&inputs)
-            }));
-            let service_us = micros_between(started, Instant::now());
-            match outcome {
-                Ok(results) => {
-                    debug_assert_eq!(results.len(), untraced.len());
-                    for (request, result) in untraced.into_iter().zip(results) {
-                        deliver(shared, request, result.map_err(workload_error), service_us);
-                    }
-                }
-                Err(_) => {
-                    fail_batch_and_rebuild(shared, workload, replica, untraced, service_us);
+        // Every request in the batch shares one profiler target (see
+        // `BoundedQueue::fill_batch`), so entering the first one's scope
+        // traces the whole batch, through the same `run_batch` call
+        // untraced traffic takes.
+        let inputs: Vec<CaseInput> = live.iter().map(|r| r.input).collect();
+        let replica = &mut replicas[workload];
+        let started = Instant::now();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let _guard = live.first().map(|r| r.scope.enter());
+            // Chaos site: a `panic` exercises containment + rebuild;
+            // `return_err` fails every request in the batch with a
+            // workload error, bypassing execution.
+            if failpoint::fire("serve::server::replica_run") {
+                return inputs
+                    .iter()
+                    .map(|_| Err(injected_replica_error()))
+                    .collect();
+            }
+            replica.run_batch(&inputs)
+        }));
+        let service_us = micros_between(started, Instant::now());
+        match outcome {
+            Ok(results) => {
+                debug_assert_eq!(results.len(), live.len());
+                for (request, result) in live.into_iter().zip(results) {
+                    deliver(shared, request, result.map_err(workload_error), service_us);
                 }
             }
-        }
-
-        for request in traced {
-            let replica = &mut replicas[workload];
-            let started = Instant::now();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let _guard = request.scope.enter();
-                // Chaos site: same contract as the batch path above.
-                if failpoint::fire("serve::server::replica_run") {
-                    return Err(injected_replica_error());
-                }
-                replica.run_case(&request.input)
-            }));
-            let service_us = micros_between(started, Instant::now());
-            match outcome {
-                Ok(result) => deliver(shared, request, result.map_err(workload_error), service_us),
-                Err(_) => {
-                    fail_batch_and_rebuild(shared, workload, replica, vec![request], service_us);
-                }
-            }
+            Err(_) => fail_batch_and_rebuild(shared, workload, replica, live, service_us),
         }
     }
 }

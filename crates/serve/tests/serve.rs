@@ -309,3 +309,59 @@ fn traced_request_lands_in_the_submitters_profiler() {
         "request submitted under an active profiler must trace into it"
     );
 }
+
+#[test]
+fn tracing_does_not_change_what_a_batch_executes() {
+    // One worker holds the first request up to 5 s for stragglers, so
+    // the four submissions coalesce into one batch, traced or not.
+    let run = |profiler: Option<&Profiler>| {
+        let config = ServeConfig::default()
+            .workers(1)
+            .max_batch(4)
+            .max_wait_us(5_000_000);
+        let server = Server::builder(config)
+            .register("lnn", || Box::new(Lnn::new(LnnConfig::small())))
+            .start()
+            .unwrap();
+        let tickets: Vec<_> = {
+            let _active = profiler.map(Profiler::activate);
+            (0..4)
+                .map(|case| server.submit("lnn", CaseInput::new(case)).unwrap())
+                .collect()
+        };
+        let outputs: Vec<_> = tickets.iter().map(|t| t.wait().unwrap()).collect();
+        server.shutdown(ShutdownMode::Drain);
+        let m = server.metrics_snapshot();
+        let counters = [
+            m.submitted,
+            m.completed,
+            m.rejected,
+            m.timed_out,
+            m.panicked,
+            m.aborted,
+            m.rebuilt,
+        ];
+        (outputs, counters, m.batch_size)
+    };
+    let untraced = run(None);
+    let profiler = Profiler::new();
+    let traced = run(Some(&profiler));
+    assert_eq!((traced.2.count, traced.2.max), (1, 4), "one batch of 4");
+    assert_eq!(traced, untraced);
+    // The trace is that of one `run_batch` over all four cases, the call
+    // untraced traffic makes — not of four `run_case` calls.
+    let direct = Profiler::new();
+    let mut replica = Lnn::new(LnnConfig::small());
+    replica.prepare().unwrap();
+    {
+        let _active = direct.activate();
+        let inputs: Vec<_> = (0..4).map(CaseInput::new).collect();
+        assert!(replica.run_batch(&inputs).iter().all(Result::is_ok));
+    }
+    assert!(direct.report().event_count() > 0);
+    assert_eq!(
+        profiler.report().event_count(),
+        direct.report().event_count(),
+        "a traced batch must record exactly one run_batch into the submitter's profiler"
+    );
+}

@@ -1,9 +1,10 @@
-//! Chaos suite: seeded fault schedules against the serving stack.
+//! Chaos suite: seeded fault schedules against the serving stack, both
+//! in-process and over the `nsgp/1` wire.
 //!
-//! Each test drives [`nsai_serve::chaos::run_chaos`] and checks the
-//! failure contract: outcome conservation, bitwise parity of surviving
-//! outputs against a fault-free run, no deadlocks, and full pool width
-//! through injected replica deaths.
+//! Each episode runs [`nsai_serve::chaos::run_chaos`] over one transport
+//! and checks the failure contract: outcome conservation, bitwise parity
+//! of surviving outputs against a fault-free run, no deadlocks, and full
+//! pool width through injected replica deaths.
 //!
 //! Seeds: the fixed matrix below, or exactly one seed when
 //! `NEUROSYM_CHAOS_SEED` is set — the hook CI uses so each matrix job
@@ -11,7 +12,11 @@
 //! (`NEUROSYM_CHAOS_SEED=37 cargo test --release --test chaos`).
 
 use nsai_core::failpoint::FailpointGuard;
-use nsai_serve::chaos::{chaos_schedule, run_chaos, ChaosConfig, ChaosOutcome, ChaosWorkload};
+use nsai_gateway::chaos::{gateway_chaos_schedule, Wire};
+use nsai_serve::chaos::{
+    chaos_schedule, run_chaos, ChaosConfig, ChaosOutcome, ChaosReport, ChaosWorkload, InProcess,
+    Transport,
+};
 use nsai_serve::{ServeConfig, Server, ShutdownMode};
 use nsai_workloads::{CaseInput, Lnn, LnnConfig, Workload};
 use std::collections::BTreeMap;
@@ -35,29 +40,57 @@ fn seeds() -> Vec<u64> {
     }
 }
 
-fn config(seed: u64, shutdown: ShutdownMode) -> ChaosConfig {
-    ChaosConfig {
-        seed,
-        requests: 400,
-        clients: 4,
-        workers: 4,
-        max_batch: 8,
-        queue_capacity: 64,
-        watchdog: Duration::from_secs(60),
-        shutdown,
+const IN_PROCESS: ChaosConfig = ChaosConfig {
+    requests: 400,
+    workers: 4,
+    shutdown: ShutdownMode::Drain,
+};
+
+const OVER_THE_WIRE: ChaosConfig = ChaosConfig {
+    requests: 200,
+    workers: 2,
+    shutdown: ShutdownMode::Drain,
+};
+
+/// The checks every faulted episode must pass, on either transport;
+/// returns the number of surviving (parity-checked) requests.
+fn check_episode<T: Transport>(report: &ChaosReport<T>, cfg: &ChaosConfig, seed: u64) -> usize {
+    report
+        .check_conservation()
+        .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    let surviving = report
+        .check_parity()
+        .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    assert!(!report.deadlocked(), "seed {seed}: watchdog tripped");
+    assert_eq!(
+        report.live_workers_after_traffic, cfg.workers,
+        "seed {seed}: worker died instead of containing its panic"
+    );
+    let m = &report.metrics;
+    if m.panicked > 0 {
+        assert!(
+            m.rebuilt > 0,
+            "seed {seed}: panics without replica rebuilds"
+        );
     }
+    eprintln!(
+        "chaos seed {seed}: offered {} ok {surviving} panicked {} rejected {} \
+         timed_out {} aborted {} rebuilt {}; transport {:?}",
+        report.offered, m.panicked, m.rejected, m.timed_out, m.aborted, m.rebuilt, report.transport
+    );
+    surviving
 }
 
 #[test]
 fn chaos_schedule_is_a_pure_function_of_the_seed() {
-    for seed in seeds() {
-        assert_eq!(chaos_schedule(seed), chaos_schedule(seed));
-    }
-    assert_ne!(chaos_schedule(11), chaos_schedule(23));
-    // Every schedule must parse under the arming grammar.
-    for seed in seeds() {
-        nsai_core::failpoint::parse_spec(&chaos_schedule(seed))
-            .unwrap_or_else(|e| panic!("seed {seed}: unparseable schedule: {e}"));
+    for schedule in [chaos_schedule, gateway_chaos_schedule] {
+        for seed in seeds() {
+            assert_eq!(schedule(seed), schedule(seed));
+            // Every schedule must parse under the arming grammar.
+            nsai_core::failpoint::parse_spec(&schedule(seed))
+                .unwrap_or_else(|e| panic!("seed {seed}: unparseable schedule: {e}"));
+        }
+        assert_ne!(schedule(11), schedule(23));
     }
 }
 
@@ -67,11 +100,10 @@ fn seeded_chaos_conserves_outcomes_and_preserves_surviving_outputs() {
     for seed in seeds() {
         let schedule = chaos_schedule(seed);
         eprintln!("chaos seed {seed}: {schedule}");
-        let cfg = config(seed, ShutdownMode::Drain);
 
-        // Fault-free run of the same seed/traffic shape first: its OK
-        // outputs are the parity reference.
-        let baseline = run_chaos(&cfg, None);
+        // Fault-free run of the same traffic shape first: its OK outputs
+        // are the parity reference.
+        let baseline = run_chaos::<InProcess>(&IN_PROCESS, None);
         baseline
             .check_conservation()
             .unwrap_or_else(|e| panic!("seed {seed} baseline: {e}"));
@@ -84,19 +116,14 @@ fn seeded_chaos_conserves_outcomes_and_preserves_surviving_outputs() {
             })
             .collect();
         assert!(
-            baseline_ok.len() > cfg.requests / 2,
+            baseline_ok.len() > IN_PROCESS.requests / 2,
             "seed {seed}: fault-free run completed only {} of {}",
             baseline_ok.len(),
-            cfg.requests
+            IN_PROCESS.requests
         );
 
-        let report = run_chaos(&cfg, Some(&schedule));
-        report
-            .check_conservation()
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        let surviving = report
-            .check_parity()
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let report = run_chaos::<InProcess>(&IN_PROCESS, Some(&schedule));
+        check_episode(&report, &IN_PROCESS, seed);
         // Bitwise parity against the *actual* fault-free run, not just
         // the analytic reference.
         for (case, outcome) in &report.outcomes {
@@ -107,42 +134,61 @@ fn seeded_chaos_conserves_outcomes_and_preserves_surviving_outputs() {
                 );
             }
         }
-        assert!(!report.deadlocked(), "seed {seed}: watchdog tripped");
-        assert_eq!(
-            report.live_workers_after_traffic, cfg.workers,
-            "seed {seed}: worker died instead of containing its panic"
-        );
-        if report.metrics.panicked > 0 {
-            assert!(
-                report.metrics.rebuilt > 0,
-                "seed {seed}: panics without replica rebuilds"
-            );
-        }
-        eprintln!(
-            "chaos seed {seed}: offered {} ok {surviving} panicked {} \
-             rejected {} timed_out {} aborted {} rebuilt {}",
-            report.offered,
-            report.metrics.panicked,
-            report.metrics.rejected,
-            report.metrics.timed_out,
-            report.metrics.aborted,
-            report.metrics.rebuilt,
-        );
     }
 }
 
 #[test]
 fn abort_mode_chaos_still_conserves_outcomes() {
     let _s = serial();
+    let cfg = ChaosConfig {
+        shutdown: ShutdownMode::Abort,
+        ..IN_PROCESS
+    };
     for seed in seeds() {
-        let cfg = config(seed, ShutdownMode::Abort);
-        let report = run_chaos(&cfg, Some(&chaos_schedule(seed)));
+        let report = run_chaos::<InProcess>(&cfg, Some(&chaos_schedule(seed)));
         report
             .check_conservation()
             .unwrap_or_else(|e| panic!("seed {seed} (abort): {e}"));
         report
             .check_parity()
             .unwrap_or_else(|e| panic!("seed {seed} (abort): {e}"));
+    }
+}
+
+#[test]
+fn fault_free_wire_baseline_completes_everything_with_parity() {
+    let _s = serial();
+    let report = run_chaos::<Wire>(&OVER_THE_WIRE, None);
+    let checked = check_episode(&report, &OVER_THE_WIRE, 0);
+    // Without faults, every request completes OK over the wire.
+    assert_eq!(checked, report.offered, "baseline lost requests");
+    let gateway = &report.transport;
+    assert_eq!(
+        (
+            gateway.decode_errors,
+            gateway.conn_dropped,
+            gateway.write_errors
+        ),
+        (0, 0, 0)
+    );
+}
+
+#[test]
+fn seeded_socket_chaos_conserves_outcomes_and_preserves_parity() {
+    let _s = serial();
+    for seed in seeds() {
+        let schedule = gateway_chaos_schedule(seed);
+        eprintln!("gateway chaos seed {seed}: {schedule}");
+        let report = run_chaos::<Wire>(&OVER_THE_WIRE, Some(&schedule));
+        let checked = check_episode(&report, &OVER_THE_WIRE, seed);
+        // The schedules are lossy by design, never total: some requests
+        // must survive for the parity check to mean anything, and some
+        // must die or the chaos exercised nothing.
+        assert!(checked > 0, "seed {seed}: no surviving responses");
+        assert!(
+            checked < report.offered,
+            "seed {seed}: chaos injected nothing"
+        );
     }
 }
 
