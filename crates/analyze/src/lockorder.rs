@@ -164,7 +164,7 @@ fn guard_binding(code: &str, acquire_at: usize) -> Option<String> {
 /// within-line ordering is unknown, so held-at-own-line
 /// over-approximates)?
 fn held_at(acq: &Acquisition, line_idx: usize) -> bool {
-    acq.line_idx <= line_idx && acq.dropped_at.map_or(true, |d| d > line_idx)
+    acq.line_idx <= line_idx && acq.dropped_at.is_none_or(|d| d > line_idx)
 }
 
 /// Build the global acquisition-order edge set, deterministically

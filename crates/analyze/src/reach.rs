@@ -133,7 +133,7 @@ fn run_reach_rule(
     let cut = |item: usize| rule.allow_fns.iter().any(|p| graph.items[item].matches(p));
     let pred = reachable(graph, &seeds, cut);
 
-    for (&item_idx, _) in &pred {
+    for &item_idx in pred.keys() {
         let item = &graph.items[item_idx];
         let ctx = &ctxs[item.file];
         if !crate::rules::applies(&rule, &ctx.path) {

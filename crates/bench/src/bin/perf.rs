@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! perf [--out PATH] [--seed N] [--reps K] [--widths 1,4]
-//!      [--sections micro,workloads,serve,gateway] [--workloads lnn,nvsa,...] [--list]
+//!      [--workloads lnn,nvsa,...] [--list]
 //! perf compare <BASELINE.json> <CANDIDATE.json> [--min-tolerance F] [--iqr-mult F]
 //! ```
 //!
@@ -18,14 +18,12 @@
 //! violation (with a per-entry diff), 2 usage/schema/IO error.
 
 use nsai_bench::cli::Cli;
-use nsai_bench::perf::{
-    compare, run_suite, GateOptions, PerfReport, Sections, SuiteConfig, WORKLOAD_SUITE,
-};
+use nsai_bench::perf::{compare, run_suite, GateOptions, PerfReport, SuiteConfig, WORKLOAD_SUITE};
 use std::fs;
 use std::path::Path;
 
 const USAGE: &str = "perf [--out PATH] [--seed N] [--reps K] [--widths 1,4] \
-                     [--sections micro,workloads,serve,gateway] [--workloads NAMES] [--list]\n\
+                     [--workloads NAMES] [--list]\n\
        perf compare <BASELINE.json> <CANDIDATE.json> [--min-tolerance F] [--iqr-mult F]";
 
 fn print_help() {
@@ -33,12 +31,14 @@ fn print_help() {
         "perf — deterministic perf suite and regression gate\n\n\
          usage: {USAGE}\n\n\
          Measures operator microbenchmarks (widths from --widths),\n\
-         per-workload phase breakdowns, and a serve-stack sample, with\n\
-         K interleaved repetitions, and writes a perf_report/v1 JSON\n\
-         (median + IQR wall clock, exact work counters). `compare`\n\
-         gates a candidate against a baseline: counters must match\n\
-         exactly; wall-clock medians may move within a per-entry\n\
-         tolerance derived from both reports' IQRs.\n\n\
+         per-workload phase breakdowns, and an in-process serve-stack\n\
+         sample, with K interleaved repetitions, and writes a\n\
+         perf_report/v1 JSON (median + IQR wall clock, exact work\n\
+         counters). Wire time is not measured here: nsbench measures\n\
+         it socket to socket. `compare` gates a candidate against a\n\
+         baseline: counters must match exactly; wall-clock medians may\n\
+         move within a per-entry tolerance derived from both reports'\n\
+         IQRs.\n\n\
          exit codes: 0 ok/pass, 1 gate violation or nondeterministic\n\
          entry, 2 usage/schema/IO error.\n\n\
          workloads: {}",
@@ -87,10 +87,6 @@ fn main() {
                     })
                     .collect::<Result<_, _>>()
                     .unwrap_or_else(|e| cli.bail(e));
-            }
-            "--sections" => {
-                let names = cli.list("--sections").unwrap_or_else(|e| cli.bail(e));
-                config.sections = Sections::parse(&names).unwrap_or_else(|e| cli.bail(e));
             }
             "--workloads" => {
                 config.workloads = cli.list("--workloads").unwrap_or_else(|e| cli.bail(e));

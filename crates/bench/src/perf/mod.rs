@@ -25,4 +25,4 @@ pub mod suite;
 pub use gate::{compare, GateError, GateOptions, GateResult, Verdict};
 pub use report::{EntryKind, PerfEntry, PerfReport, SCHEMA};
 pub use stats::WallStats;
-pub use suite::{run_suite, Sections, SuiteConfig, SuiteError, WORKLOAD_SUITE};
+pub use suite::{run_suite, SuiteConfig, SuiteError, WORKLOAD_SUITE};

@@ -35,11 +35,6 @@ pub enum EntryKind {
     Workload,
     /// A serve-stack sample (closed-loop clients through the runtime).
     Serve,
-    /// A gateway sample (the same closed loop, carried over loopback
-    /// TCP through `nsai-gateway`). Off by default in the suite — wire
-    /// latency is scheduler- and stack-noisy, so gateway entries are
-    /// informational unless a run opts in with `--sections gateway`.
-    Gateway,
 }
 
 /// One measured suite entry: identity, wall-clock summary, counters.

@@ -12,11 +12,9 @@
 //!    including the queue-wait overhead the runtime adds on top of pure
 //!    service time.
 //!
-//! A fourth section, **gateway**, carries the same closed loop over
-//! loopback TCP through `nsai-gateway`. It is **off by default** (and
-//! therefore absent from the perf gate's baseline): socket wall time is
-//! scheduler-noisy in a way the in-process sections are not. Opt in
-//! with `--sections gateway` to sample the wire overhead explicitly.
+//! The wire (loopback TCP through `nsai-gateway`) is not measured
+//! here: `nsbench` measures it socket to socket, with a per-layer
+//! waterfall.
 //!
 //! Every entry is seeded from the master seed, repeated K times with
 //! the repetitions interleaved across the whole suite, and emits both
@@ -36,8 +34,7 @@ use super::stats::WallStats;
 use nsai_core::counters::Counters;
 use nsai_core::profile::Profiler;
 use nsai_core::taxonomy::Phase;
-use nsai_gateway::{Gateway, GatewayClient, GatewayConfig};
-use nsai_serve::loadgen::{closed_loop, closed_loop_with};
+use nsai_serve::loadgen::closed_loop;
 use nsai_serve::{ServeConfig, Server, ShutdownMode};
 use nsai_tensor::ops::conv::Conv2dParams;
 use nsai_tensor::{par, Tensor};
@@ -60,59 +57,6 @@ pub const DEFAULT_REPETITIONS: usize = 5;
 /// Default master seed.
 pub const DEFAULT_SEED: u64 = 42;
 
-/// Which suite sections to run (all by default; tests and quick local
-/// iterations can narrow).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Sections {
-    /// Operator microbenchmarks.
-    pub micro: bool,
-    /// Full-workload phase breakdowns.
-    pub workloads: bool,
-    /// Serve-stack sample.
-    pub serve: bool,
-    /// Gateway (loopback TCP) sample. Off by default — excluded from
-    /// the perf gate's baseline unless a run opts in explicitly.
-    pub gateway: bool,
-}
-
-impl Default for Sections {
-    fn default() -> Self {
-        Sections {
-            micro: true,
-            workloads: true,
-            serve: true,
-            gateway: false,
-        }
-    }
-}
-
-impl Sections {
-    /// Parse a comma-separated section list
-    /// (`micro,workloads,serve,gateway`).
-    pub fn parse(names: &[String]) -> Result<Sections, String> {
-        let mut sections = Sections {
-            micro: false,
-            workloads: false,
-            serve: false,
-            gateway: false,
-        };
-        for name in names {
-            match name.as_str() {
-                "micro" => sections.micro = true,
-                "workloads" => sections.workloads = true,
-                "serve" => sections.serve = true,
-                "gateway" => sections.gateway = true,
-                other => {
-                    return Err(format!(
-                        "unknown section `{other}` (valid: micro workloads serve gateway)"
-                    ))
-                }
-            }
-        }
-        Ok(sections)
-    }
-}
-
 /// Full configuration of one suite run.
 #[derive(Debug, Clone)]
 pub struct SuiteConfig {
@@ -122,8 +66,6 @@ pub struct SuiteConfig {
     pub repetitions: usize,
     /// Pool widths for the micro section.
     pub widths: Vec<usize>,
-    /// Which sections run.
-    pub sections: Sections,
     /// Workloads for the workload section (subset of [`WORKLOAD_SUITE`]).
     pub workloads: Vec<String>,
 }
@@ -134,7 +76,6 @@ impl Default for SuiteConfig {
             seed: DEFAULT_SEED,
             repetitions: DEFAULT_REPETITIONS,
             widths: DEFAULT_WIDTHS.to_vec(),
-            sections: Sections::default(),
             workloads: WORKLOAD_SUITE.iter().map(|s| s.to_string()).collect(),
         }
     }
@@ -487,95 +428,6 @@ impl Drop for ServeBench {
 }
 
 // ---------------------------------------------------------------------
-// Gateway section (opt-in)
-// ---------------------------------------------------------------------
-
-/// The serve closed loop carried over loopback TCP: identical server
-/// configuration, identical request set ([`closed_loop_with`] with the
-/// same seed and fan-out), but every request crosses the `nsgp/1` wire
-/// through an owned [`Gateway`]. The wall-clock delta against
-/// `serve/…/closed_loop` is the gateway's framing + socket overhead.
-struct GatewayBench {
-    seed: u64,
-    gateway: Option<Gateway>,
-}
-
-impl GatewayBench {
-    fn start_gateway(&self) -> Gateway {
-        let server = Server::builder(
-            ServeConfig::default()
-                .workers(SERVE_WORKERS)
-                .queue_capacity(SERVE_QUEUE)
-                .max_batch(SERVE_MAX_BATCH)
-                .max_wait_us(SERVE_MAX_WAIT_US),
-        )
-        .register(SERVE_WORKLOAD, || {
-            Box::new(nsai_workloads::Lnn::new(nsai_workloads::LnnConfig::small()))
-        })
-        .start()
-        .expect("gateway bench server starts");
-        Gateway::start(server, GatewayConfig::default()).expect("gateway bench gateway starts")
-    }
-
-    fn run_closed_loop(&self, per_client: usize) -> (u64, u64) {
-        let gateway = self.gateway.as_ref().expect("gateway started");
-        let addr = gateway.local_addr();
-        let workload = gateway
-            .workload_id(SERVE_WORKLOAD)
-            .expect("bench workload registered");
-        let records = closed_loop_with(
-            |_| GatewayClient::connect(addr, workload).expect("gateway bench connect"),
-            SERVE_CLIENTS,
-            per_client,
-            self.seed,
-        );
-        let requests = records.len() as u64;
-        let ok = records.iter().filter(|r| r.response.is_ok()).count() as u64;
-        (requests, ok)
-    }
-}
-
-impl Measurement for GatewayBench {
-    fn warmup(&mut self) -> Result<(), SuiteError> {
-        self.gateway = Some(self.start_gateway());
-        self.run_closed_loop(1);
-        Ok(())
-    }
-
-    fn measure(&mut self) -> Result<Vec<Sample>, SuiteError> {
-        if self.gateway.is_none() {
-            self.gateway = Some(self.start_gateway());
-        }
-        let started = Instant::now();
-        let (requests, ok) = self.run_closed_loop(SERVE_PER_CLIENT);
-        let wall_ns = started.elapsed().as_nanos() as u64;
-        let errors = requests - ok;
-        let id = format!("gateway/{SERVE_WORKLOAD}/closed_loop");
-        if errors > 0 {
-            return Err(SuiteError::ServeErrors { id, errors });
-        }
-        let mut counters = Counters::new();
-        counters.set("requests", requests);
-        counters.set("completed_ok", ok);
-        counters.set("errors", errors);
-        Ok(vec![Sample {
-            id,
-            kind: EntryKind::Gateway,
-            wall_ns,
-            counters,
-        }])
-    }
-}
-
-impl Drop for GatewayBench {
-    fn drop(&mut self) {
-        if let Some(gateway) = self.gateway.take() {
-            gateway.shutdown(ShutdownMode::Drain);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Suite driver
 // ---------------------------------------------------------------------
 
@@ -596,31 +448,19 @@ pub fn run_suite(
     }
 
     let mut measurements: Vec<Box<dyn Measurement>> = Vec::new();
-    if config.sections.micro {
-        for bench in micro_benches(config.seed, &config.widths) {
-            measurements.push(Box::new(bench));
-        }
+    for bench in micro_benches(config.seed, &config.widths) {
+        measurements.push(Box::new(bench));
     }
-    if config.sections.workloads {
-        for name in &config.workloads {
-            measurements.push(Box::new(WorkloadBench {
-                name: name.clone(),
-                instance: None,
-            }));
-        }
-    }
-    if config.sections.serve {
-        measurements.push(Box::new(ServeBench {
-            seed: config.seed,
-            server: None,
+    for name in &config.workloads {
+        measurements.push(Box::new(WorkloadBench {
+            name: name.clone(),
+            instance: None,
         }));
     }
-    if config.sections.gateway {
-        measurements.push(Box::new(GatewayBench {
-            seed: config.seed,
-            gateway: None,
-        }));
-    }
+    measurements.push(Box::new(ServeBench {
+        seed: config.seed,
+        server: None,
+    }));
 
     progress(&format!(
         "warming up {} measurements...",

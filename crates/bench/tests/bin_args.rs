@@ -76,7 +76,6 @@ fn perf_rejects_bad_args() {
     assert_usage_error(bin, &["--seed"]); // missing value
     assert_usage_error(bin, &["--seed", "abc"]); // malformed value
     assert_usage_error(bin, &["--reps", "0"]); // out of range
-    assert_usage_error(bin, &["--sections", "bogus"]); // unknown section
     assert_usage_error(bin, &["--widths", "x"]); // malformed width
     assert_usage_error(bin, &["--frobnicate"]); // unknown flag
     assert_help(bin);

@@ -8,14 +8,13 @@
 //! a scheduling- or merge-order-dependent counter anywhere in the
 //! pipeline fails here before it can make the CI gate flaky.
 
-use nsai_bench::perf::{compare, run_suite, GateOptions, Sections, SuiteConfig};
+use nsai_bench::perf::{compare, run_suite, GateOptions, SuiteConfig};
 
 fn test_config(seed: u64) -> SuiteConfig {
     SuiteConfig {
         seed,
         repetitions: 2,
         widths: vec![1, 4],
-        sections: Sections::default(),
         workloads: vec!["lnn".to_string(), "nlm".to_string()],
     }
 }

@@ -279,16 +279,14 @@ impl Counter {
     }
 }
 
-/// A high-water-mark gauge: tracks a current level and its maximum.
+/// A high-water mark: the largest level observed since the last reset.
 ///
-/// Used for queue depth: `raise` on enqueue, `lower` on dequeue, `peak`
-/// for the report. The peak is maintained with a CAS loop so concurrent
-/// raisers cannot lose an observed maximum.
+/// Used for queue depth. The queue reports its depth under its own lock
+/// on every admission, so the peak never counts a request a worker has
+/// already claimed; `fetch_max` keeps concurrent observers from losing
+/// a maximum.
 #[derive(Debug, Default)]
-pub struct PeakGauge {
-    level: AtomicU64,
-    peak: AtomicU64,
-}
+pub struct PeakGauge(AtomicU64);
 
 impl PeakGauge {
     /// A zeroed gauge.
@@ -296,63 +294,31 @@ impl PeakGauge {
         Self::default()
     }
 
-    /// Increase the level by `n` and fold the new level into the peak.
-    pub fn raise(&self, n: u64) {
-        let now = self.level.fetch_add(n, Ordering::Relaxed) + n;
-        let mut seen = self.peak.load(Ordering::Relaxed);
-        while now > seen {
-            match self
-                .peak
-                .compare_exchange_weak(seen, now, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(p) => seen = p,
-            }
-        }
+    /// Fold an observed level into the peak.
+    pub fn observe(&self, level: u64) {
+        self.0.fetch_max(level, Ordering::Relaxed);
     }
 
-    /// Decrease the level by `n` (saturating).
-    pub fn lower(&self, n: u64) {
-        let mut seen = self.level.load(Ordering::Relaxed);
-        loop {
-            let next = seen.saturating_sub(n);
-            match self
-                .level
-                .compare_exchange_weak(seen, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(now) => seen = now,
-            }
-        }
-    }
-
-    /// Current level.
-    pub fn level(&self) -> u64 {
-        self.level.load(Ordering::Relaxed)
-    }
-
-    /// Highest level ever observed.
+    /// Highest level observed since the last reset.
     pub fn peak(&self) -> u64 {
-        self.peak.load(Ordering::Relaxed)
+        self.0.load(Ordering::Relaxed)
     }
 
-    /// Forget the recorded peak, restarting it from the current level
-    /// (for measurement windows over a long-lived gauge).
-    pub fn reset_peak(&self) {
-        self.peak
-            .store(self.level.load(Ordering::Relaxed), Ordering::Relaxed);
+    /// Forget the recorded peak (for measurement windows over a
+    /// long-lived gauge).
+    pub fn reset(&self) {
+        self.0.store(0, Ordering::Relaxed);
     }
 }
 
 /// A windowed occupancy gauge with *consistent* level/peak snapshots.
 ///
-/// Like [`PeakGauge`] this tracks a current level and the monotonic
-/// maximum it has reached, but both live in **one** `AtomicU64` (level
-/// in the low 32 bits, peak in the high 32), so a single relaxed load
-/// observes a coherent pair: `peak >= level` holds in every snapshot a
-/// reader can ever take, even mid-update. `PeakGauge` cannot promise
-/// that — its two atomics can be read around a concurrent `raise` —
-/// which is fine for a report printed after the fact but not for flow
+/// It tracks a current level and the monotonic maximum it has reached,
+/// both in **one** `AtomicU64` (level in the low 32 bits, peak in the
+/// high 32), so a single relaxed load observes a coherent pair:
+/// `peak >= level` holds in every snapshot a reader can ever take, even
+/// mid-update. Two separate atomics could be read around a concurrent
+/// `raise` — fine for a report printed after the fact but not for flow
 /// control that *acts* on the reading. The gateway uses this gauge for
 /// its per-connection in-flight window (admit vs. reject is decided on
 /// `level()`) and for active-connection accounting.
@@ -600,15 +566,14 @@ mod tests {
         assert_eq!(c.get(), 0);
 
         let g = PeakGauge::new();
-        g.raise(3);
-        g.raise(2);
-        g.lower(4);
-        g.raise(1);
-        assert_eq!(g.level(), 2);
+        g.observe(3);
+        g.observe(5);
+        g.observe(2);
         assert_eq!(g.peak(), 5);
-        g.lower(10);
-        assert_eq!(g.level(), 0);
-        assert_eq!(g.peak(), 5);
+        g.reset();
+        assert_eq!(g.peak(), 0);
+        g.observe(1);
+        assert_eq!(g.peak(), 1);
     }
 
     #[test]
@@ -663,10 +628,10 @@ mod tests {
 
     #[test]
     fn window_gauge_snapshots_are_always_coherent() {
-        // The property PeakGauge cannot offer: under concurrent raisers
-        // and lowerers, every snapshot satisfies peak >= level. A reader
-        // hammers snapshots while writers churn; any torn observation
-        // fails the assert.
+        // The property two separate atomics cannot offer: under
+        // concurrent raisers and lowerers, every snapshot satisfies
+        // peak >= level. A reader hammers snapshots while writers churn;
+        // any torn observation fails the assert.
         let g = WindowGauge::new();
         let stop = AtomicU64::new(0);
         std::thread::scope(|s| {

@@ -1,20 +1,15 @@
 //! A blocking `nsgp/1` client over a [`TcpStream`].
 //!
-//! Three usage levels, in increasing rawness:
+//! Two usage levels, in increasing rawness:
 //!
-//! - [`GatewayClient`] implements
-//!   [`nsai_serve::loadgen::BlockingClient`], so the serve crate's
-//!   closed-loop load generator drives a gateway exactly as it drives
-//!   an in-process server — one loadgen implementation, two transports.
-//! - [`GatewayClient::call_raw`] returns the undecoded `(status,
-//!   payload bytes)` pair, the unit of the bitwise-parity checks.
+//! - [`GatewayClient::call_raw`] (and [`GatewayClient::pipeline`])
+//!   return the undecoded `(status, payload bytes)` pair, the unit of
+//!   the bitwise-parity checks. On [`Status::Ok`] the payload decodes
+//!   with [`wire::decode_output`].
 //! - [`GatewayClient::send_bytes`] writes arbitrary bytes, for
 //!   protocol tests that need to speak *wrong* `nsgp/1` on purpose.
 
 use crate::wire::{self, Frame, Status, WireError};
-use nsai_serve::loadgen::BlockingClient;
-use nsai_serve::ServeError;
-use nsai_workloads::WorkloadOutput;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -176,40 +171,5 @@ impl GatewayClient {
             }
         }
         Ok(responses)
-    }
-}
-
-/// Decode a raw gateway outcome into the serve-side [`Response`] shape
-/// (`Result<WorkloadOutput, ServeError>`). Statuses with no serve
-/// counterpart (flow control, protocol errors, admission rejections)
-/// fold into [`ServeError::Aborted`] — lossy by design; callers that
-/// care about the distinction use [`RawResponse`] directly.
-pub fn decode_response(raw: &RawResponse) -> Result<WorkloadOutput, ServeError> {
-    match raw.status {
-        Status::Ok => wire::decode_output(&raw.payload)
-            .map_err(|e| ServeError::Workload(format!("undecodable gateway payload: {e}"))),
-        Status::WorkloadError => Err(ServeError::Workload(
-            String::from_utf8_lossy(&raw.payload).into_owned(),
-        )),
-        Status::WorkerPanicked => Err(ServeError::WorkerPanicked),
-        Status::DeadlineExceeded => Err(ServeError::DeadlineExceeded),
-        Status::UnknownWorkload => Err(ServeError::Workload(
-            "gateway rejected: unknown workload".to_string(),
-        )),
-        Status::Aborted
-        | Status::QueueFull
-        | Status::ShuttingDown
-        | Status::WindowExceeded
-        | Status::BadFrame
-        | Status::FrameTooLarge => Err(ServeError::Aborted),
-    }
-}
-
-impl BlockingClient for GatewayClient {
-    fn call(&mut self, case: u64) -> Result<WorkloadOutput, ServeError> {
-        match self.call_raw(case) {
-            Ok(raw) => decode_response(&raw),
-            Err(_) => Err(ServeError::Aborted),
-        }
     }
 }

@@ -43,7 +43,8 @@
 //! ## Example
 //!
 //! ```
-//! use nsai_gateway::{Gateway, GatewayClient, GatewayConfig, decode_response};
+//! use nsai_gateway::wire::{self, Status};
+//! use nsai_gateway::{Gateway, GatewayClient, GatewayConfig};
 //! use nsai_serve::{ServeConfig, Server};
 //! use nsai_serve::chaos::ChaosWorkload;
 //!
@@ -56,7 +57,8 @@
 //! let workload = gateway.workload_id("chaos").unwrap();
 //! let mut client = GatewayClient::connect(gateway.local_addr(), workload).unwrap();
 //! let raw = client.call_raw(7).unwrap();
-//! let output = decode_response(&raw).unwrap();
+//! assert_eq!(raw.status, Status::Ok);
+//! let output = wire::decode_output(&raw.payload).unwrap();
 //! assert_eq!(output, ChaosWorkload::expected(7));
 //! gateway.shutdown(nsai_serve::ShutdownMode::Drain);
 //! ```
@@ -71,7 +73,7 @@ pub mod metrics;
 mod server;
 pub mod wire;
 
-pub use client::{decode_response, GatewayClient, RawResponse};
+pub use client::{GatewayClient, RawResponse};
 pub use metrics::{GatewayMetrics, GatewaySnapshot};
 pub use nsai_serve::ShutdownMode;
 pub use server::{Gateway, GatewayConfig};

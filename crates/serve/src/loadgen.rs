@@ -13,8 +13,7 @@
 //!   deterministic case ids — the discipline used by the determinism
 //!   regression tests.
 
-use crate::request::Response;
-use crate::request::Ticket;
+use crate::request::{Response, ServeError, Ticket};
 use crate::server::{Server, SubmitError};
 use nsai_workloads::CaseInput;
 use rand::{Rng, SeedableRng, StdRng};
@@ -128,84 +127,37 @@ pub struct ClosedLoopRecord {
     pub response: Response,
 }
 
-/// One closed-loop client's view of a serving stack: issue a request
-/// and block until its response arrives. This is the seam between the
-/// load-generation discipline (case numbering, client fan-out, record
-/// collection — [`closed_loop_with`], written once) and the transport
-/// that carries the request — in-process [`Server::submit_blocking`]
-/// here, or a `nsai-gateway` TCP connection in the gateway crate. Both
-/// transports therefore drive *identical* request sets, which is what
-/// makes gateway-vs-direct comparisons an apples-to-apples measurement.
-pub trait BlockingClient {
-    /// Submit `case` and wait for its terminal response.
-    fn call(&mut self, case: u64) -> Response;
-}
-
-/// The in-process transport: submissions go straight to
-/// [`Server::submit_blocking`] on the client thread.
-#[derive(Debug)]
-pub struct InProcessClient<'a> {
-    server: &'a Server,
-    workload: &'a str,
-}
-
-impl<'a> InProcessClient<'a> {
-    /// A client submitting to `workload` on `server`.
-    pub fn new(server: &'a Server, workload: &'a str) -> Self {
-        InProcessClient { server, workload }
-    }
-}
-
-impl BlockingClient for InProcessClient<'_> {
-    fn call(&mut self, case: u64) -> Response {
-        match self
-            .server
-            .submit_blocking(self.workload, CaseInput::new(case))
-        {
-            Ok(ticket) => ticket.wait(),
-            Err(SubmitError::QueueFull) => {
-                // Only a zero-capacity queue lands here; surface it as
-                // an abort-like failure.
-                Err(crate::ServeError::Aborted)
-            }
-            Err(_) => Err(crate::ServeError::Aborted),
-        }
-    }
-}
-
-/// Run `clients` concurrent closed-loop clients over any
-/// [`BlockingClient`] transport, each submitting `per_client`
-/// sequential requests. `make_client` is called once per client thread
-/// (index `0..clients`), so each client owns its transport — one TCP
-/// connection per client for the gateway, one borrowed server handle
-/// for the in-process path. Client `c`'s `i`-th request carries case id
+/// Run `clients` concurrent closed-loop clients, each submitting
+/// `per_client` sequential requests directly to `server` with
+/// [`Server::submit_blocking`] (blocking while the queue is full, so
+/// nothing is shed). Client `c`'s `i`-th request carries case id
 /// `case_base + (c * per_client + i)` — fully determined by the
 /// arguments, independent of scheduling — and the returned records are
 /// sorted by case id. With deterministic workloads this makes the
-/// entire result set reproducible across worker counts and transports.
-pub fn closed_loop_with<C, F>(
-    make_client: F,
+/// entire result set reproducible across worker counts.
+pub fn closed_loop(
+    server: &Server,
+    workload: &str,
     clients: usize,
     per_client: usize,
     case_base: u64,
-) -> Vec<ClosedLoopRecord>
-where
-    C: BlockingClient + Send,
-    F: Fn(usize) -> C + Sync,
-{
+) -> Vec<ClosedLoopRecord> {
     let mut records: Vec<ClosedLoopRecord> = std::thread::scope(|scope| {
-        let make_client = &make_client;
         let handles: Vec<_> = (0..clients)
             .map(|client| {
                 scope.spawn(move || {
-                    let mut transport = make_client(client);
                     let mut mine = Vec::with_capacity(per_client);
                     for i in 0..per_client {
                         let case = case_base + (client * per_client + i) as u64;
+                        // Only a zero-capacity queue or a shutdown refuses
+                        // a blocking submit; both surface as an abort.
+                        let response = server
+                            .submit_blocking(workload, CaseInput::new(case))
+                            .map_or(Err(ServeError::Aborted), |ticket| ticket.wait());
                         mine.push(ClosedLoopRecord {
                             client,
                             case,
-                            response: transport.call(case),
+                            response,
                         });
                     }
                     mine
@@ -219,23 +171,4 @@ where
     });
     records.sort_by_key(|r| r.case);
     records
-}
-
-/// [`closed_loop_with`] over the in-process transport: `clients`
-/// concurrent clients, each submitting `per_client` sequential requests
-/// directly to `server` (blocking while the queue is full, so nothing
-/// is shed).
-pub fn closed_loop(
-    server: &Server,
-    workload: &str,
-    clients: usize,
-    per_client: usize,
-    case_base: u64,
-) -> Vec<ClosedLoopRecord> {
-    closed_loop_with(
-        |_| InProcessClient::new(server, workload),
-        clients,
-        per_client,
-        case_base,
-    )
 }

@@ -33,7 +33,8 @@ pub struct ServerMetrics {
     /// Replica rebuilds after contained panics (a fleet-health signal:
     /// each rebuild re-runs the workload factory and `prepare`).
     pub rebuilt: Counter,
-    /// Instantaneous and peak queue depth.
+    /// Peak queue depth, as the queue counted it under its own lock on
+    /// each admission.
     pub queue_depth: PeakGauge,
     /// Time from submission to dispatch, µs.
     pub queue_wait_us: LogHistogram,
@@ -69,9 +70,10 @@ impl ServerMetrics {
         }
     }
 
-    /// Zero everything for a fresh measurement window (peak queue depth
-    /// restarts from the *current* depth, since requests may be in
-    /// flight across the window boundary).
+    /// Zero everything for a fresh measurement window.
+    /// [`Server::reset_metrics`](crate::Server::reset_metrics) then
+    /// restarts the queue-depth peak from the current depth, since
+    /// requests may be queued across the window boundary.
     pub fn reset(&self) {
         self.submitted.reset();
         self.completed.reset();
@@ -80,7 +82,7 @@ impl ServerMetrics {
         self.panicked.reset();
         self.aborted.reset();
         self.rebuilt.reset();
-        self.queue_depth.reset_peak();
+        self.queue_depth.reset();
         self.queue_wait_us.reset();
         self.service_us.reset();
         self.total_us.reset();
@@ -179,8 +181,8 @@ mod tests {
         m.submitted.add(10);
         m.completed.add(9);
         m.rejected.add(2);
-        m.queue_depth.raise(3);
-        m.queue_depth.lower(1);
+        m.queue_depth.observe(3);
+        m.queue_depth.observe(2);
         for v in [100, 200, 400, 800] {
             m.total_us.record(v);
         }
@@ -196,15 +198,13 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_counts_but_keeps_current_depth() {
+    fn reset_clears_counts_and_the_depth_peak() {
         let m = ServerMetrics::new();
         m.submitted.add(5);
-        m.queue_depth.raise(4);
-        m.queue_depth.lower(2);
+        m.queue_depth.observe(4);
         m.reset();
         assert_eq!(m.submitted.get(), 0);
-        assert_eq!(m.queue_depth.level(), 2);
-        assert_eq!(m.queue_depth.peak(), 2);
+        assert_eq!(m.queue_depth.peak(), 0);
     }
 
     #[test]

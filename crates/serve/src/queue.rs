@@ -100,7 +100,6 @@ impl BoundedQueue {
                 self.not_empty.notify_all();
                 return Ok(depth);
             }
-            // nsai-lint: allow(hot-path-no-block): push_wait is the opt-in blocking-admission variant (submit_blocking's closed-loop contract); Server::submit reaches it only because the graph cannot see submit_inner's `blocking` branch.
             self.not_full.wait(&mut state);
         }
     }

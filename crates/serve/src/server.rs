@@ -302,22 +302,28 @@ impl Server {
     /// submitted under an active profiler is traced into it even though
     /// it executes on a worker thread.
     pub fn submit(&self, workload: &str, input: CaseInput) -> Result<Ticket, SubmitError> {
-        self.submit_inner(workload, input, false)
+        let (ticket, request) = self.admit(workload, input)?;
+        self.enqueued(self.shared.queue.try_push(request))?;
+        Ok(ticket)
     }
 
     /// Like [`Server::submit`], but block while the queue is full
     /// instead of rejecting — the closed-loop client discipline. Still
     /// fails on a zero-capacity queue or during shutdown.
     pub fn submit_blocking(&self, workload: &str, input: CaseInput) -> Result<Ticket, SubmitError> {
-        self.submit_inner(workload, input, true)
+        let (ticket, request) = self.admit(workload, input)?;
+        self.enqueued(self.shared.queue.push_wait(request))?;
+        Ok(ticket)
     }
 
-    fn submit_inner(
+    /// The admission steps both submit paths share, up to the push:
+    /// resolve the workload, pass the admission failpoint, and build the
+    /// queued request with its ticket.
+    fn admit(
         &self,
         workload: &str,
         input: CaseInput,
-        blocking: bool,
-    ) -> Result<Ticket, SubmitError> {
+    ) -> Result<(Ticket, QueuedRequest), SubmitError> {
         let shared = &self.shared;
         let index = shared
             .workload_index(workload)
@@ -339,19 +345,21 @@ impl Server {
             submitted_at: now,
             deadline: shared.config.timeout.map(|t| now + t),
         };
-        let pushed = if blocking {
-            shared.queue.push_wait(request)
-        } else {
-            shared.queue.try_push(request)
-        };
+        Ok((ticket, request))
+    }
+
+    /// Count a push's outcome. The depth a successful push reports was
+    /// read under the queue lock, so the peak is the true queue depth.
+    fn enqueued(&self, pushed: Result<usize, PushError>) -> Result<(), SubmitError> {
+        let metrics = &self.shared.metrics;
         match pushed {
-            Ok(_) => {
-                shared.metrics.submitted.incr();
-                shared.metrics.queue_depth.raise(1);
-                Ok(ticket)
+            Ok(depth) => {
+                metrics.submitted.incr();
+                metrics.queue_depth.observe(depth as u64);
+                Ok(())
             }
             Err(PushError::Full) => {
-                shared.metrics.rejected.incr();
+                metrics.rejected.incr();
                 Err(SubmitError::QueueFull)
             }
             Err(PushError::Closed) => Err(SubmitError::ShuttingDown),
@@ -379,9 +387,14 @@ impl Server {
     }
 
     /// Zero the metrics for a fresh measurement window without
-    /// restarting (and re-preparing) the server.
+    /// restarting (and re-preparing) the server. The queue-depth peak
+    /// restarts from the requests still queued.
     pub fn reset_metrics(&self) {
         self.shared.metrics.reset();
+        self.shared
+            .metrics
+            .queue_depth
+            .observe(self.shared.queue.len() as u64);
     }
 
     /// Stop the server and join its workers. Idempotent; the second
@@ -398,7 +411,6 @@ impl Server {
         let orphans = self.shared.queue.close(matches!(mode, ShutdownMode::Drain));
         for request in orphans {
             self.shared.metrics.aborted.incr();
-            self.shared.metrics.queue_depth.lower(1);
             request.slot.complete(Err(ServeError::Aborted));
         }
         for worker in workers {
@@ -428,7 +440,6 @@ fn worker_loop(shared: &SharedState, mut replicas: Vec<Box<dyn Workload + Send>>
                 std::time::Duration::from_micros(shared.config.max_wait_us),
             );
         }
-        shared.metrics.queue_depth.lower(batch.len() as u64);
 
         let dispatched_at = Instant::now();
         let mut live = Vec::with_capacity(batch.len());

@@ -138,6 +138,51 @@ fn overload_stays_bounded_and_sheds_the_excess() {
 }
 
 #[test]
+fn queue_depth_peak_never_counts_a_claimed_request() {
+    const CAPACITY: usize = 2;
+    let executed = Arc::new(AtomicU64::new(0));
+    let (first, second) = (Arc::clone(&executed), Arc::clone(&executed));
+    let server = Server::builder(
+        ServeConfig::default()
+            .queue_capacity(CAPACITY)
+            .workers(1)
+            .max_batch(4)
+            // Longer than the test: the worker holds its claimed request
+            // until shutdown ends the straggler wait.
+            .max_wait_us(10_000_000),
+    )
+    .register("first", move || {
+        Box::new(Echo::new(Duration::ZERO, None, Arc::clone(&first)))
+    })
+    .register("second", move || {
+        Box::new(Echo::new(Duration::ZERO, None, Arc::clone(&second)))
+    })
+    .start()
+    .expect("echo prepares trivially");
+    let mut tickets = vec![server.submit("first", CaseInput::new(0)).expect("admitted")];
+    // At capacity 2 the second blocking submit is admitted only once the
+    // worker has claimed the first request, which it then holds while
+    // waiting for same-workload stragglers.
+    for case in 1..=2 {
+        let ticket = server.submit_blocking("second", CaseInput::new(case));
+        tickets.push(ticket.expect("admitted"));
+    }
+    assert_eq!(
+        server.metrics_snapshot().queue_depth_peak,
+        CAPACITY as u64,
+        "the peak must not count the request the worker already claimed"
+    );
+    // A new measurement window starts from the requests still queued.
+    server.reset_metrics();
+    assert_eq!(server.metrics_snapshot().queue_depth_peak, CAPACITY as u64);
+    server.shutdown(ShutdownMode::Drain);
+    for ticket in &tickets {
+        assert!(ticket.wait().is_ok());
+    }
+    assert_eq!(executed.load(Ordering::Relaxed), 3);
+}
+
+#[test]
 fn drain_shutdown_serves_everything_admitted() {
     let (server, executed) = echo_server(
         ServeConfig::default().queue_capacity(64).workers(1),
