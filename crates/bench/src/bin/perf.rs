@@ -19,6 +19,7 @@
 
 use nsai_bench::cli::Cli;
 use nsai_bench::perf::{compare, run_suite, GateOptions, PerfReport, SuiteConfig, WORKLOAD_SUITE};
+use nsai_tensor::par;
 use std::fs;
 use std::path::Path;
 
@@ -30,19 +31,24 @@ fn print_help() {
     println!(
         "perf — deterministic perf suite and regression gate\n\n\
          usage: {USAGE}\n\n\
-         Measures operator microbenchmarks (widths from --widths),\n\
-         per-workload phase breakdowns, and an in-process serve-stack\n\
-         sample, with K interleaved repetitions, and writes a\n\
-         perf_report/v1 JSON (median + IQR wall clock, exact work\n\
-         counters). Wire time is not measured here: nsbench measures\n\
-         it socket to socket. `compare` gates a candidate against a\n\
-         baseline: counters must match exactly; wall-clock medians may\n\
-         move within a per-entry tolerance derived from both reports'\n\
+         Measures operator microbenchmarks, per-workload phase\n\
+         breakdowns, an in-process serve-stack sample (batched and\n\
+         unbatched) and the design-choice ablations (ablate/...), with\n\
+         K interleaved repetitions, and writes a perf_report/v1 JSON\n\
+         (median + IQR wall clock, exact work counters). Micro entries\n\
+         and the pool-width ablations run at each --widths value\n\
+         (distinct, 1..={max}; `--widths 1,2,4,8` is the thread sweep);\n\
+         the workloads and the other ablations run at width 1. Wire\n\
+         time is not measured here: nsbench measures it socket to\n\
+         socket. `compare` gates a candidate against a baseline:\n\
+         counters must match exactly; wall-clock medians may move\n\
+         within a per-entry tolerance derived from both reports'\n\
          IQRs.\n\n\
          exit codes: 0 ok/pass, 1 gate violation or nondeterministic\n\
          entry, 2 usage/schema/IO error.\n\n\
-         workloads: {}",
-        WORKLOAD_SUITE.join(" ")
+         workloads: {workloads}",
+        max = par::MAX_THREADS,
+        workloads = WORKLOAD_SUITE.join(" "),
     );
 }
 
@@ -79,14 +85,7 @@ fn main() {
             }
             "--widths" => {
                 let raw = cli.list("--widths").unwrap_or_else(|e| cli.bail(e));
-                config.widths = raw
-                    .iter()
-                    .map(|w| {
-                        w.parse::<usize>()
-                            .map_err(|e| format!("`--widths` got `{w}`: {e}"))
-                    })
-                    .collect::<Result<_, _>>()
-                    .unwrap_or_else(|e| cli.bail(e));
+                config.widths = parse_widths(&raw).unwrap_or_else(|e| cli.bail(e));
             }
             "--workloads" => {
                 config.workloads = cli.list("--workloads").unwrap_or_else(|e| cli.bail(e));
@@ -133,6 +132,30 @@ fn main() {
         report.entries.len(),
         json.len()
     );
+}
+
+/// Parse `--widths`: each a distinct pool width in `1..=MAX_THREADS`.
+/// `par::with_threads` would clamp anything else, so the entry ids would
+/// name a width that was never measured, and a repeated width would fold
+/// two entries into one.
+fn parse_widths(raw: &[String]) -> Result<Vec<usize>, String> {
+    let mut widths = Vec::new();
+    for w in raw {
+        let width: usize = w
+            .parse()
+            .map_err(|e| format!("`--widths` got `{w}`: {e}"))?;
+        if !(1..=par::MAX_THREADS).contains(&width) {
+            return Err(format!(
+                "`--widths` got {width}: each width must be in 1..={}",
+                par::MAX_THREADS
+            ));
+        }
+        if widths.contains(&width) {
+            return Err(format!("`--widths` lists {width} twice"));
+        }
+        widths.push(width);
+    }
+    Ok(widths)
 }
 
 fn read_report(cli: &Cli, path: &str) -> PerfReport {

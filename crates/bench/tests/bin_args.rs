@@ -43,18 +43,6 @@ fn assert_help(bin: &str) {
 }
 
 #[test]
-fn serve_rejects_bad_args_without_panicking() {
-    let bin = env!("CARGO_BIN_EXE_serve");
-    assert_usage_error(bin, &["--duration-ms"]); // missing value
-    assert_usage_error(bin, &["--duration-ms", "abc"]); // malformed value
-    assert_usage_error(bin, &["--workloads"]); // missing value
-    assert_usage_error(bin, &["--workloads", ","]); // empty list
-    assert_usage_error(bin, &["--workloads", "bogus", "--duration-ms", "1"]);
-    assert_usage_error(bin, &["--frobnicate"]); // unknown flag
-    assert_help(bin);
-}
-
-#[test]
 fn trace_rejects_bad_args() {
     let bin = env!("CARGO_BIN_EXE_trace");
     assert_usage_error(bin, &[]); // missing workload
@@ -77,6 +65,10 @@ fn perf_rejects_bad_args() {
     assert_usage_error(bin, &["--seed", "abc"]); // malformed value
     assert_usage_error(bin, &["--reps", "0"]); // out of range
     assert_usage_error(bin, &["--widths", "x"]); // malformed width
+    assert_usage_error(bin, &["--widths", "0"]); // no such pool width
+    let above_max = (nsai_tensor::par::MAX_THREADS + 1).to_string();
+    assert_usage_error(bin, &["--widths", &above_max]); // would clamp
+    assert_usage_error(bin, &["--widths", "1,1"]); // repeated width
     assert_usage_error(bin, &["--frobnicate"]); // unknown flag
     assert_help(bin);
 }

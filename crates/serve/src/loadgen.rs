@@ -1,59 +1,23 @@
-//! Seeded load generators for latency–throughput sweeps.
+//! Seeded load generators.
 //!
-//! Two standard arrival disciplines:
-//!
-//! - **Open loop** ([`open_loop_poisson`]): Poisson arrivals at a fixed
-//!   offered rate, submitted regardless of how the server keeps up —
-//!   the discipline that exposes overload behaviour (queue growth,
-//!   rejects, tail latency). Inter-arrival times are drawn from one
-//!   seeded [`StdRng`], so the offered trace is reproducible.
+//! - **Open-loop schedule** ([`poisson_schedule`]): Poisson arrival
+//!   offsets at a fixed offered rate, drawn from one seeded [`StdRng`],
+//!   so an offered trace is reproducible (nsbench's open-loop mixes
+//!   pace their sends by it).
 //! - **Closed loop** ([`closed_loop`]): N clients, each submitting its
 //!   next request only after the previous one completes (blocking on a
 //!   full queue rather than shedding). Every request completes, with
 //!   deterministic case ids — the discipline used by the determinism
-//!   regression tests.
+//!   regression tests and the perf suite's serve sample.
 
-use crate::request::{Response, ServeError, Ticket};
-use crate::server::{Server, SubmitError};
+use crate::request::{Response, ServeError};
+use crate::server::Server;
 use nsai_workloads::CaseInput;
 use rand::{Rng, SeedableRng, StdRng};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// What one open-loop run offered and what came back.
-#[derive(Debug)]
-pub struct OpenLoopRun {
-    /// Requests the generator attempted to submit.
-    pub offered: usize,
-    /// Requests rejected at admission (queue full).
-    pub rejected: usize,
-    /// Requests refused because the server was shutting down.
-    pub refused: usize,
-    /// Responses of every admitted request, in submission order.
-    pub responses: Vec<Response>,
-    /// Wall-clock span from first submission attempt to last response.
-    pub elapsed: Duration,
-}
-
-impl OpenLoopRun {
-    /// Completed requests whose workload result was `Ok`.
-    pub fn ok_count(&self) -> usize {
-        self.responses.iter().filter(|r| r.is_ok()).count()
-    }
-
-    /// Goodput in completed-ok requests per second.
-    pub fn throughput_rps(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.ok_count() as f64 / secs
-        }
-    }
-}
-
-/// The Poisson arrival schedule `open_loop_poisson` offers: arrival
-/// offsets from the start of the run, strictly increasing, all below
-/// `duration`. Inter-arrival gaps are exponential draws from one seeded
+/// A Poisson arrival schedule: arrival offsets from the start of a
+/// run, strictly increasing, all below `duration`. Inter-arrival gaps are exponential draws from one seeded
 /// [`StdRng`], so the schedule is a pure function of
 /// `(rate_hz, duration, seed)` — identical across runs, machines, and
 /// thread counts. The determinism regression suite asserts exactly that.
@@ -72,48 +36,6 @@ pub fn poisson_schedule(rate_hz: f64, duration: Duration, seed: u64) -> Vec<Dura
         next_arrival += Duration::from_secs_f64(-(1.0 - u).ln() / rate_hz);
     }
     arrivals
-}
-
-/// Offer `workload` requests at `rate_hz` (Poisson arrivals, the
-/// [`poisson_schedule`] trace) for `duration`, then wait for every
-/// admitted request. Case ids are the arrival indices, so a given seed
-/// and rate offer the same episode sequence every run; which of them are
-/// admitted depends on server timing (that is the point of an open
-/// loop).
-pub fn open_loop_poisson(
-    server: &Server,
-    workload: &str,
-    rate_hz: f64,
-    duration: Duration,
-    seed: u64,
-) -> OpenLoopRun {
-    let schedule = poisson_schedule(rate_hz, duration, seed);
-    let started = Instant::now();
-    let mut rejected = 0usize;
-    let mut refused = 0usize;
-    let mut tickets: Vec<Ticket> = Vec::new();
-
-    for (index, arrival) in schedule.iter().enumerate() {
-        let target = started + *arrival;
-        let now = Instant::now();
-        if target > now {
-            std::thread::sleep(target - now);
-        }
-        match server.submit(workload, CaseInput::new(index as u64)) {
-            Ok(ticket) => tickets.push(ticket),
-            Err(SubmitError::QueueFull) => rejected += 1,
-            Err(_) => refused += 1,
-        }
-    }
-
-    let responses: Vec<Response> = tickets.iter().map(Ticket::wait).collect();
-    OpenLoopRun {
-        offered: schedule.len(),
-        rejected,
-        refused,
-        responses,
-        elapsed: started.elapsed(),
-    }
 }
 
 /// One completed closed-loop request.

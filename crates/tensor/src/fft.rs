@@ -6,7 +6,8 @@
 //! memory-bandwidth pressure point: *"NVSA and PrAE symbolic operations
 //! require streaming vector elements to circular convolution computing
 //! units."* Both a direct `O(d²)` kernel and an `O(d log d)` FFT kernel are
-//! provided; the `ablate_circconv` bench quantifies the difference.
+//! provided; the perf suite's `ablate/circconv/*` entries quantify the
+//! difference.
 
 use crate::dense::Tensor;
 use crate::error::TensorError;

@@ -173,7 +173,7 @@ impl Tensor {
     /// (a data-transformation kernel), then one large matrix multiply.
     /// Produces results identical to [`Tensor::conv2d`] but with the
     /// GEMM-heavy trace signature of cuDNN-style execution
-    /// (see the `ablate_conv_algo` bench).
+    /// (the perf suite's `ablate/conv_algo/*` entries measure both).
     ///
     /// # Errors
     ///

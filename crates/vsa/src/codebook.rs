@@ -272,8 +272,8 @@ impl Codebook {
     }
 
     /// Cleanup memory: the index and similarity of the entry most similar
-    /// to `hv` (a linear scan — the baseline the `ablate_cleanup` bench
-    /// compares against).
+    /// to `hv` (a linear scan — the baseline the perf suite's
+    /// `ablate/cleanup/*` entries compare against).
     ///
     /// # Errors
     ///
@@ -336,7 +336,8 @@ impl Codebook {
 
     /// Cleanup with an early-exit threshold: stop scanning once a
     /// similarity of at least `threshold` is found. Trades worst-case
-    /// latency for best-case latency (the `ablate_cleanup` variant).
+    /// latency for best-case latency (the perf suite's
+    /// `ablate/cleanup/early_exit` entry).
     ///
     /// # Errors
     ///
