@@ -305,14 +305,29 @@ pub fn body_range(lines: &[Line], decl_idx: usize) -> Option<(usize, usize)> {
 #[derive(Debug)]
 pub struct Waivers {
     by_line: BTreeMap<usize, BTreeSet<String>>,
+    /// Every well-formed waiver, in line order.
+    pub(crate) directives: Vec<Waiver>,
     /// Malformed waiver directives, reported as findings.
     pub malformed: Vec<Finding>,
+}
+
+/// One well-formed `nsai-lint: allow(...)` comment.
+#[derive(Debug)]
+pub(crate) struct Waiver {
+    /// 0-based line of the comment.
+    pub(crate) line: usize,
+    /// The rules it names.
+    pub(crate) rules: Vec<String>,
+    /// 0-based lines it covers: its own, plus the next code line when
+    /// the comment stands alone.
+    pub(crate) targets: Vec<usize>,
 }
 
 impl Waivers {
     /// Scan a file's comment stream for `nsai-lint:` directives.
     pub fn collect(path: &str, lines: &[Line]) -> Waivers {
         let mut by_line: BTreeMap<usize, BTreeSet<String>> = BTreeMap::new();
+        let mut directives = Vec::new();
         let mut malformed = Vec::new();
 
         for (idx, line) in lines.iter().enumerate() {
@@ -338,9 +353,14 @@ impl Waivers {
                             targets.push(idx + 1 + next);
                         }
                     }
-                    for t in targets {
+                    for &t in &targets {
                         by_line.entry(t).or_default().extend(rules.iter().cloned());
                     }
+                    directives.push(Waiver {
+                        line: idx,
+                        rules,
+                        targets,
+                    });
                 }
                 Err(message) => malformed.push(Finding {
                     path: path.to_string(),
@@ -352,7 +372,11 @@ impl Waivers {
                 }),
             }
         }
-        Waivers { by_line, malformed }
+        Waivers {
+            by_line,
+            directives,
+            malformed,
+        }
     }
 
     /// Is `rule` waived on 0-based line `idx`?

@@ -6,10 +6,12 @@
 //! ```
 //!
 //! `--format json` emits the stable `nsai-analyze/v1` schema: one
-//! object with a `findings` array of
-//! `{rule, path, line, severity, message, waived}` — including waived
-//! findings, which the text format suppresses (waived findings never
-//! affect the exit code in either format).
+//! object with `files`, `errors`, `warnings` and `waivers` counts and a
+//! `findings` array of `{rule, path, line, severity, message, waived}`
+//! — including waived findings, which the text format suppresses
+//! (waived findings never affect the exit code in either format).
+//! `waivers` counts the waived findings, the waiver debt; the text
+//! format's stderr summary line reports the same count.
 //!
 //! Exit codes: `0` clean, `1` findings at deny severity (or any finding
 //! under `--deny-warnings`), `2` usage or configuration error.
@@ -93,10 +95,17 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Render the `nsai-analyze/v1` report object.
-fn render_json(findings: &[Finding], files: usize, denied: usize, warned: usize) -> String {
+fn render_json(
+    findings: &[Finding],
+    files: usize,
+    denied: usize,
+    warned: usize,
+    waived: usize,
+) -> String {
     let mut out = String::from("{\n  \"schema\": \"nsai-analyze/v1\",\n");
     out.push_str(&format!(
-        "  \"files\": {files},\n  \"errors\": {denied},\n  \"warnings\": {warned},\n"
+        "  \"files\": {files},\n  \"errors\": {denied},\n  \"warnings\": {warned},\n  \
+         \"waivers\": {waived},\n"
     ));
     out.push_str("  \"findings\": [");
     for (i, f) in findings.iter().enumerate() {
@@ -162,10 +171,11 @@ fn main() -> ExitCode {
         .filter(|f| f.severity == Severity::Deny)
         .count();
     let warned = findings.len() - denied;
+    let waived = all.len() - findings.len();
 
     match args.format {
         Format::Json => {
-            println!("{}", render_json(&all, files.len(), denied, warned));
+            println!("{}", render_json(&all, files.len(), denied, warned, waived));
         }
         Format::Text => {
             if !args.quiet {
@@ -177,7 +187,7 @@ fn main() -> ExitCode {
     }
     if args.format == Format::Text && (!args.quiet || !findings.is_empty()) {
         eprintln!(
-            "nsai-analyze: {} files, {denied} error(s), {warned} warning(s)",
+            "nsai-analyze: {} files, {denied} error(s), {warned} warning(s), {waived} waived",
             files.len()
         );
     }

@@ -23,9 +23,11 @@
 //!
 //! Any rule can be waived inline with
 //! `// nsai-lint: allow(<rule>): <justification>` — the justification is
-//! mandatory; a bare waiver is itself a finding. Waived findings are
-//! suppressed from [`analyze`] but preserved (with `waived = true`) in
-//! [`analyze_all`], which is what `--format json` reports.
+//! mandatory; a bare waiver is itself a finding (`waiver-syntax`), and so
+//! is a waiver naming a rule that no longer fires on the lines it covers
+//! (`stale-waiver`). Waived findings are suppressed from [`analyze`] but
+//! preserved (with `waived = true`) in [`analyze_all`], which is what
+//! `--format json` reports.
 
 use crate::config::{Config, RuleConfig, Severity};
 use crate::graph::CallGraph;
@@ -115,6 +117,7 @@ pub fn analyze_all(files: &[(String, String)], config: &Config) -> Vec<Finding> 
     reach::check_hot_path_no_block(&graph, &ctxs, config, &mut findings);
     reach::check_panic_reachability(&graph, &ctxs, config, &mut findings);
     lockorder::check(&graph, &ctxs, config, &mut findings);
+    check_stale_waivers(&ctxs, &mut findings);
 
     findings.sort_by(|a, b| (&a.path, a.line, &a.rule).cmp(&(&b.path, b.line, &b.rule)));
     findings
@@ -155,6 +158,51 @@ pub(crate) fn push_finding(
 }
 
 // ---------------------------------------------------------------- rules
+
+/// `stale-waiver`: every rule a waiver names must suppress a finding on
+/// a line the waiver covers. Runs last, over every other rule's
+/// findings. A waiver that outlived its finding would silently cover
+/// the next violation on that line, and it inflates the waiver debt the
+/// JSON report counts. Like `waiver-syntax`, it is always deny and
+/// cannot itself be waived.
+fn check_stale_waivers(ctxs: &[FileCtx], findings: &mut Vec<Finding>) {
+    let suppressed: BTreeSet<(&str, usize, &str)> = findings
+        .iter()
+        .filter(|f| f.waived)
+        .map(|f| (f.path.as_str(), f.line - 1, f.rule.as_str()))
+        .collect();
+    let mut stale = Vec::new();
+    for ctx in ctxs {
+        for waiver in &ctx.waivers.directives {
+            let unused: Vec<&str> = waiver
+                .rules
+                .iter()
+                .map(String::as_str)
+                .filter(|rule| {
+                    !waiver
+                        .targets
+                        .iter()
+                        .any(|&t| suppressed.contains(&(ctx.path.as_str(), t, *rule)))
+                })
+                .collect();
+            if !unused.is_empty() {
+                stale.push(Finding {
+                    path: ctx.path.clone(),
+                    line: waiver.line + 1,
+                    rule: "stale-waiver".to_string(),
+                    severity: Severity::Deny,
+                    message: format!(
+                        "waiver for {} suppresses no finding on the lines it covers \
+                         — remove it",
+                        unused.join(", ")
+                    ),
+                    waived: false,
+                });
+            }
+        }
+    }
+    findings.extend(stale);
+}
 
 /// `unsafe-audit`: every `unsafe` keyword in code must be justified by a
 /// `SAFETY:` comment — trailing on the same line, or in the contiguous

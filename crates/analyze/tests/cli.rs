@@ -116,6 +116,54 @@ fn json_format_reports_waived_and_unwaived_findings() {
 }
 
 #[test]
+fn waived_findings_are_counted_in_json_and_the_summary_line() {
+    let tree = TempTree::new("waivers");
+    tree.write(
+        "src/lib.rs",
+        concat!(
+            "pub fn f(p: *mut u8) {\n",
+            "    / nsai-lint: allow(unsafe-audit): test waiver for the count.\n",
+            "    unsafe { *p = 1 };\n",
+            "}\n",
+        )
+        .replace("/ nsai", "// nsai")
+        .as_str(),
+    );
+    let (code, out) = analyze(&tree, &["--format", "json"]);
+    assert_eq!(code, 0, "{out}");
+    assert!(out.contains("\"errors\": 0"), "{out}");
+    assert!(out.contains("\"waivers\": 1"), "{out}");
+    let (code, out) = analyze(&tree, &[]);
+    assert_eq!(code, 0, "{out}");
+    assert!(out.contains("0 error(s), 0 warning(s), 1 waived"), "{out}");
+}
+
+#[test]
+fn stale_waiver_exits_one_and_matches_the_ci_problem_matcher() {
+    let tree = TempTree::new("stale");
+    tree.write(
+        "src/lib.rs",
+        concat!(
+            "pub fn f(p: &mut u8) {\n",
+            "    / nsai-lint: allow(unsafe-audit): the unsafe block it covered is gone.\n",
+            "    *p = 1;\n",
+            "}\n",
+        )
+        .replace("/ nsai", "// nsai")
+        .as_str(),
+    );
+    let (code, out) = analyze(&tree, &[]);
+    assert_eq!(code, 1, "{out}");
+    let line = out
+        .lines()
+        .find(|l| l.contains("stale-waiver"))
+        .expect("finding line");
+    assert!(line.starts_with("src/lib.rs:2: deny"), "{line}");
+    assert!(regex_lite(line), "{line}");
+    assert!(out.contains("0 waived"), "{out}");
+}
+
+#[test]
 fn text_findings_match_the_ci_problem_matcher() {
     // The GitHub problem matcher (.github/problem-matchers/) parses
     // `path:line: severity [rule] message`; keep the text format and

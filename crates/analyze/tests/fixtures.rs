@@ -83,6 +83,41 @@ fn waiver_naming_an_unknown_rule_is_rejected() {
     assert_eq!(rule_names(&findings), vec!["waiver-syntax"]);
 }
 
+// ------------------------------------------------------------ stale-waiver
+
+#[test]
+fn waiver_that_suppresses_nothing_is_itself_a_finding() {
+    // The `unsafe` block the waiver was written for is gone.
+    let src = "pub fn f(p: &mut u8) {\n    // nsai-lint: allow(unsafe-audit): audited in the module docs.\n    *p = 0;\n}\n";
+    let findings = run(&Config::default(), &[("src/a.rs", src)]);
+    assert_eq!(rule_names(&findings), vec!["stale-waiver"]);
+    assert_eq!(findings[0].line, 2);
+    assert_eq!(findings[0].severity, Severity::Deny);
+    assert!(findings[0].message.contains("unsafe-audit"), "{findings:?}");
+}
+
+#[test]
+fn each_rule_a_waiver_names_must_suppress_a_finding() {
+    let src = "pub fn f(p: *mut u8) {\n    // nsai-lint: allow(unsafe-audit, determinism): audited in the module docs.\n    unsafe { *p = 0 };\n}\n";
+    let findings = run(&Config::default(), &[("src/a.rs", src)]);
+    assert_eq!(rule_names(&findings), vec!["stale-waiver"]);
+    assert!(findings[0].message.contains("determinism"), "{findings:?}");
+    assert!(
+        !findings[0].message.contains("unsafe-audit"),
+        "{findings:?}"
+    );
+}
+
+#[test]
+fn waiver_for_a_rule_not_applied_at_its_path_is_stale() {
+    let src = "pub fn f() {\n    // nsai-lint: allow(determinism): only feeds the profiler duration.\n    let _t = std::time::Instant::now();\n}\n";
+    let config =
+        Config::parse("[rules.determinism]\nallow = [\"src/timing.rs\"]\n").expect("config");
+    assert!(run(&config, &[("src/a.rs", src)]).is_empty());
+    let findings = run(&config, &[("src/timing.rs", src)]);
+    assert_eq!(rule_names(&findings), vec!["stale-waiver"]);
+}
+
 // -------------------------------------------------- pool-only-parallelism
 
 #[test]

@@ -41,13 +41,16 @@ pub struct GatewayClient {
 
 impl GatewayClient {
     /// Connect to a gateway and address requests to wire workload id
-    /// `workload`.
+    /// `workload`. The socket sets `TCP_NODELAY`, so a pipelined burst
+    /// of [`GatewayClient::send_request`] frames does not wait behind
+    /// Nagle's algorithm for the gateway's ACKs.
     ///
     /// # Errors
     ///
-    /// Propagates connection and stream-clone failures.
+    /// Propagates connection, socket-option and stream-clone failures.
     pub fn connect(addr: SocketAddr, workload: u32) -> std::io::Result<GatewayClient> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(GatewayClient {
             reader,
@@ -171,5 +174,21 @@ impl GatewayClient {
             }
         }
         Ok(responses)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::{Ipv4Addr, TcpListener};
+
+    #[test]
+    fn connect_sets_nodelay() {
+        // The kernel completes the handshake from the listen backlog, so
+        // no gateway is needed to read the client's socket options.
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
+        let client = GatewayClient::connect(listener.local_addr().expect("addr"), 0)
+            .expect("client connects");
+        assert!(client.writer.get_ref().nodelay().expect("read TCP_NODELAY"));
     }
 }

@@ -56,6 +56,12 @@ impl ConnHandle {
         let _ = self.reader.join();
         let _ = self.responder.join();
     }
+
+    /// The accepted socket, for tests that read its options back.
+    #[cfg(test)]
+    pub(crate) fn stream(&self) -> &TcpStream {
+        &self.stream
+    }
 }
 
 /// What the reader hands the responder, in submission order.
@@ -82,14 +88,19 @@ enum Item {
 ///
 /// # Errors
 ///
-/// Propagates stream-clone or thread-spawn failures; the caller counts
-/// them as refused connections. A partially-spawned pair is torn down
-/// before returning.
+/// Propagates socket-option, stream-clone or thread-spawn failures; the
+/// caller counts them as refused connections. A partially-spawned pair
+/// is torn down before returning.
 pub(crate) fn spawn(
     stream: TcpStream,
     shared: Arc<Shared>,
     conn_id: u64,
 ) -> std::io::Result<ConnHandle> {
+    // Every response is one complete frame, written and flushed at once
+    // (`wire::write_frame`). With Nagle's algorithm on, a response
+    // written while the previous one is still unacknowledged waits for
+    // the client's next request or its delayed-ACK timer.
+    stream.set_nodelay(true)?;
     let (tx, rx) = mpsc::channel::<Item>();
     let window = Arc::new(WindowGauge::new());
     let read_half = stream.try_clone()?;

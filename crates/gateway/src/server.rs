@@ -297,3 +297,38 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::GatewayClient;
+    use nsai_serve::chaos::ChaosWorkload;
+    use nsai_serve::ServeConfig;
+    use std::time::{Duration, Instant};
+
+    #[test]
+    fn accepted_connections_set_nodelay() {
+        let server = Server::builder(ServeConfig::default().workers(1))
+            .register("chaos", || Box::new(ChaosWorkload))
+            .start()
+            .expect("serve starts");
+        let gateway = Gateway::start(server, GatewayConfig::default()).expect("gateway starts");
+        let _client = GatewayClient::connect(gateway.local_addr(), 0).expect("client connects");
+
+        // The acceptor registers a connection right after spawning its
+        // threads; wait for that rather than racing it.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let nodelay = loop {
+            if let Some(handle) = gateway.shared.conns.lock().first() {
+                break handle.stream().nodelay().expect("read TCP_NODELAY");
+            }
+            assert!(Instant::now() < deadline, "connection never registered");
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        assert!(
+            nodelay,
+            "the gateway's end of the connection must set TCP_NODELAY"
+        );
+        gateway.shutdown(ShutdownMode::Drain);
+    }
+}

@@ -101,7 +101,6 @@ impl Ticket {
             if let Some(response) = slot.clone() {
                 return response;
             }
-            // nsai-lint: allow(hot-path-no-block): Ticket::wait is the client's reply wait — blocking is its contract; the admission path only creates tickets, it never waits on them.
             self.shared.ready.wait(&mut slot);
         }
     }

@@ -416,7 +416,6 @@ impl Server {
         for worker in workers {
             // A worker that panicked outside `catch_unwind` (a bug, not
             // a workload panic) surfaces here rather than hanging.
-            // nsai-lint: allow(panic-reachability): shutdown is not the request path; a worker dying outside its catch_unwind is a server bug that must surface loudly.
             worker.join().expect("serve worker exited cleanly");
         }
     }
