@@ -212,11 +212,6 @@ impl DomainGenerator {
     }
 }
 
-/// Mean intensity of a batch (diagnostic for domain-gap tests).
-pub fn batch_mean(batch: &Tensor) -> f32 {
-    batch.data().iter().sum::<f32>() / batch.numel().max(1) as f32
-}
-
 /// Mean absolute horizontal gradient — a cheap texture statistic that
 /// separates the two domains.
 pub fn batch_roughness(batch: &Tensor) -> f32 {

@@ -23,6 +23,7 @@ impl TruthBounds {
     /// # Errors
     ///
     /// Returns [`LogicError::InvalidBounds`] or [`LogicError::OutOfRange`].
+    #[inline]
     pub fn new(lower: f64, upper: f64) -> Result<Self, LogicError> {
         if !(0.0..=1.0).contains(&lower) || lower.is_nan() {
             return Err(LogicError::OutOfRange {
@@ -51,6 +52,7 @@ impl TruthBounds {
     }
 
     /// Known-true bounds `[1, 1]`.
+    #[inline]
     pub fn proven_true() -> Self {
         TruthBounds {
             lower: 1.0,
@@ -76,11 +78,13 @@ impl TruthBounds {
     }
 
     /// Lower bound.
+    #[inline]
     pub fn lower(&self) -> f64 {
         self.lower
     }
 
     /// Upper bound.
+    #[inline]
     pub fn upper(&self) -> f64 {
         self.upper
     }
@@ -106,6 +110,7 @@ impl TruthBounds {
     /// result. Returns the tightened bounds and whether a contradiction
     /// (empty intersection) was detected — LNN surfaces contradictions
     /// rather than failing.
+    #[inline]
     pub fn tighten(&self, other: &TruthBounds) -> (TruthBounds, bool) {
         let lower = self.lower.max(other.lower);
         let upper = self.upper.min(other.upper);
@@ -125,6 +130,7 @@ impl TruthBounds {
     }
 
     /// Łukasiewicz negation: `¬[l, u] = [1−u, 1−l]`.
+    #[inline]
     pub fn negate(&self) -> TruthBounds {
         TruthBounds {
             lower: 1.0 - self.upper,
@@ -162,6 +168,7 @@ impl TruthBounds {
     /// From `max(0, a + b − 1) ∈ [L, U]`: when the conjunction is known at
     /// least `L > 0`, `a ≥ L + 1 − upper(b)`; `a ≤ U + 1 − lower(b)` always
     /// holds when `U < 1`.
+    #[inline]
     pub fn and_down(conj: &TruthBounds, sibling: &TruthBounds) -> TruthBounds {
         let lower = (conj.lower + 1.0 - sibling.upper).clamp(0.0, 1.0);
         let upper = (conj.upper + 1.0 - sibling.lower).clamp(0.0, 1.0);
@@ -173,6 +180,7 @@ impl TruthBounds {
 
     /// Downward inference for disjunction: given bounds on `a ∨ b` and the
     /// sibling `b`, tighten `a` (`a ≥ L − upper(b)`, `a ≤ U`).
+    #[inline]
     pub fn or_down(disj: &TruthBounds, sibling: &TruthBounds) -> TruthBounds {
         let lower = (disj.lower - sibling.upper).clamp(0.0, 1.0);
         let upper = disj.upper.clamp(0.0, 1.0);
@@ -185,6 +193,7 @@ impl TruthBounds {
     /// Downward modus ponens: from bounds on `a → b` and on `a`, tighten
     /// `b` (`b ≥ L_impl + L_a − 1`, `b ≤ U_impl` when `U_a = 1` relaxed to
     /// `b ≤ U_impl − 1 + U_a` clamped).
+    #[inline]
     pub fn modus_ponens(impl_bounds: &TruthBounds, antecedent: &TruthBounds) -> TruthBounds {
         let lower = (impl_bounds.lower + antecedent.lower - 1.0).clamp(0.0, 1.0);
         let upper = (impl_bounds.upper - 1.0 + antecedent.upper + 1.0)

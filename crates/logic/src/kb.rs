@@ -10,8 +10,8 @@ use crate::error::LogicError;
 use crate::term::{Atom, Substitution, Term};
 use nsai_core::profile::{self, OpMeta};
 use nsai_core::taxonomy::OpCategory;
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
-use std::time::Instant;
 
 /// A Horn rule `head :- body₁, ..., bodyₙ`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,6 +96,60 @@ fn rename_rule(rule: &Rule, tag: usize) -> Rule {
     }
 }
 
+/// The facts of `set` whose predicate is `predicate`: one contiguous
+/// range, because atoms order by predicate first and the empty argument
+/// list sorts before every other.
+fn predicate_range<'a>(
+    set: &'a BTreeSet<Atom>,
+    predicate: &'a str,
+) -> impl Iterator<Item = &'a Atom> + 'a {
+    set.range(Atom::new(predicate, Vec::new())..)
+        .take_while(move |fact| fact.predicate == predicate)
+}
+
+/// Every substitution that grounds `body` against the known facts with
+/// `body[pivot]` matched in `delta`, the atoms before it in `old` and the
+/// atoms after it in either set (`old` and `delta` are disjoint). Adds one
+/// to `probes` per unification attempt.
+fn join(
+    body: &[Atom],
+    pivot: usize,
+    old: &BTreeSet<Atom>,
+    delta: &BTreeSet<Atom>,
+    probes: &mut u64,
+) -> Vec<Substitution> {
+    let mut bindings = vec![Substitution::new()];
+    for (position, atom) in body.iter().enumerate() {
+        let candidates: Vec<&Atom> = match position.cmp(&pivot) {
+            Ordering::Less => predicate_range(old, &atom.predicate).collect(),
+            Ordering::Equal => predicate_range(delta, &atom.predicate).collect(),
+            Ordering::Greater => predicate_range(old, &atom.predicate)
+                .chain(predicate_range(delta, &atom.predicate))
+                .collect(),
+        };
+        let mut next = Vec::new();
+        for binding in &bindings {
+            let grounded = atom.apply(binding);
+            for fact in &candidates {
+                *probes += 1;
+                // `grounded` carries every binding already made, so the
+                // unifier only adds the ones this fact supplies.
+                let mut extension = Substitution::new();
+                if grounded.unify_with(fact, &mut extension) {
+                    let mut extended = binding.clone();
+                    extended.extend(extension);
+                    next.push(extended);
+                }
+            }
+        }
+        bindings = next;
+        if bindings.is_empty() {
+            break;
+        }
+    }
+    bindings
+}
+
 /// A set of ground facts plus Horn rules.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct KnowledgeBase {
@@ -139,66 +193,62 @@ impl KnowledgeBase {
         self.facts.contains(atom)
     }
 
-    /// Naive bottom-up forward chaining to a fixpoint (or `max_iterations`).
-    /// Returns the final fact set. Each iteration is recorded as one
-    /// symbolic `Other` operator event whose byte counts reflect the
-    /// database scan.
+    /// Semi-naive bottom-up forward chaining to a fixpoint (or
+    /// `max_iterations`). Returns the final fact set.
+    ///
+    /// Each iteration evaluates every rule once per body position, and that
+    /// position joins only the facts first derived in the previous
+    /// iteration (in iteration 1, every fact). Positions before it join the
+    /// older facts and positions after it join all facts, so each new
+    /// derivation is found from its first new premise. A rule with an empty
+    /// body fires in iteration 1. A body atom's candidates are its
+    /// predicate's contiguous range of the fact set (atoms order by
+    /// predicate first). The derived set after each iteration is the naive
+    /// chase's. Each iteration is recorded as one symbolic `Other` operator
+    /// event whose FLOPs count unification probes and whose byte counts
+    /// reflect the probed and derived atoms.
     pub fn forward_chain(&self, max_iterations: usize) -> BTreeSet<Atom> {
-        let mut facts = self.facts.clone();
-        for _ in 0..max_iterations {
-            // nsai-lint: allow(determinism): wall clock only feeds the profiler event's duration, never the computation.
-            let start = Instant::now();
-            let mut new_facts: Vec<Atom> = Vec::new();
-            let mut unifications: u64 = 0;
-            for rule in &self.rules {
-                let mut bindings = vec![Substitution::new()];
-                for body_atom in &rule.body {
-                    let mut next = Vec::new();
-                    for binding in &bindings {
-                        let grounded = body_atom.apply(binding);
-                        for fact in &facts {
-                            unifications += 1;
-                            let mut candidate = binding.clone();
-                            if grounded.unify_with(fact, &mut candidate) {
-                                next.push(candidate);
-                            }
+        let mut old: BTreeSet<Atom> = BTreeSet::new();
+        let mut delta = self.facts.clone();
+        for iteration in 0..max_iterations {
+            let new_facts = profile::time_op_with("forward_chain_iter", OpCategory::Other, || {
+                let mut new_facts = BTreeSet::new();
+                let mut probes: u64 = 0;
+                let mut derive = |head: Atom| {
+                    if head.is_ground() && !old.contains(&head) && !delta.contains(&head) {
+                        new_facts.insert(head);
+                    }
+                };
+                for rule in &self.rules {
+                    if rule.body.is_empty() && iteration == 0 {
+                        derive(rule.head.clone());
+                    }
+                    for pivot in 0..rule.body.len() {
+                        for binding in join(&rule.body, pivot, &old, &delta, &mut probes) {
+                            derive(rule.head.apply(&binding));
                         }
                     }
-                    bindings = next;
-                    if bindings.is_empty() {
-                        break;
-                    }
                 }
-                for binding in &bindings {
-                    let head = rule.head.apply(binding);
-                    if head.is_ground() && !facts.contains(&head) {
-                        new_facts.push(head);
-                    }
-                }
-            }
-            let derived = new_facts.len() as u64;
-            let duration = start.elapsed();
-            if profile::is_active() {
+                let known = (old.len() + delta.len()) as u64;
+                let derived = new_facts.len() as u64;
                 // Approximate one atom record as 24 bytes of index+symbol
                 // traffic per unification probe.
-                profile::record(
-                    "forward_chain_iter",
-                    OpCategory::Other,
-                    OpMeta::new()
-                        .flops(unifications)
-                        .bytes_read(unifications * 24)
-                        .bytes_written(derived * 24)
-                        .output_elems(facts.len() as u64 + derived)
-                        .output_nonzeros(facts.len() as u64 + derived),
-                    duration,
-                );
-            }
+                let meta = OpMeta::new()
+                    .flops(probes)
+                    .bytes_read(probes * 24)
+                    .bytes_written(derived * 24)
+                    .output_elems(known + derived)
+                    .output_nonzeros(known + derived);
+                (new_facts, meta)
+            });
             if new_facts.is_empty() {
                 break;
             }
-            facts.extend(new_facts);
+            old.append(&mut delta);
+            delta = new_facts;
         }
-        facts
+        old.append(&mut delta);
+        old
     }
 
     /// Depth-limited backward chaining: can `goal` be proven?
@@ -208,23 +258,16 @@ impl KnowledgeBase {
     /// Returns [`LogicError::DepthLimit`] when the proof search exceeds
     /// `max_depth` without resolving.
     pub fn backward_chain(&self, goal: &Atom, max_depth: usize) -> Result<bool, LogicError> {
-        // nsai-lint: allow(determinism): wall clock only feeds the profiler event's duration, never the computation.
-        let start = Instant::now();
-        let mut probes: u64 = 0;
-        let result = self.prove(goal, max_depth, &mut probes);
-        if profile::is_active() {
-            profile::record(
-                "backward_chain",
-                OpCategory::Other,
-                OpMeta::new()
-                    .flops(probes)
-                    .bytes_read(probes * 24)
-                    .bytes_written(24)
-                    .output_elems(1),
-                start.elapsed(),
-            );
-        }
-        result
+        profile::time_op_with("backward_chain", OpCategory::Other, || {
+            let mut probes: u64 = 0;
+            let result = self.prove(goal, max_depth, &mut probes);
+            let meta = OpMeta::new()
+                .flops(probes)
+                .bytes_read(probes * 24)
+                .bytes_written(24)
+                .output_elems(1);
+            (result, meta)
+        })
     }
 
     fn prove(&self, goal: &Atom, depth: usize, probes: &mut u64) -> Result<bool, LogicError> {
@@ -398,5 +441,27 @@ mod tests {
         assert!(events.iter().all(|e| e.name == "forward_chain_iter"));
         assert!(events.iter().all(|e| e.category == OpCategory::Other));
         assert!(events[0].flops > 0);
+    }
+
+    #[test]
+    fn iteration_events_count_distinct_new_facts() {
+        use nsai_core::Profiler;
+        // `child(bob)` is derived twice in iteration 1, once per parent.
+        let mut kb = KnowledgeBase::new();
+        kb.add_fact(Atom::prop2("parent", "alice", "bob"));
+        kb.add_fact(Atom::prop2("parent", "carol", "bob"));
+        kb.add_rule(Rule::new(
+            Atom::new("child", vec![Term::var("Y")]),
+            vec![Atom::new("parent", vec![Term::var("X"), Term::var("Y")])],
+        ));
+        let p = Profiler::new();
+        let derived = {
+            let _a = p.activate();
+            kb.forward_chain(1)
+        };
+        assert_eq!(derived.len(), 3);
+        let first = &p.events()[0];
+        assert_eq!(first.output_elems, 3);
+        assert_eq!(first.bytes_written, 24);
     }
 }

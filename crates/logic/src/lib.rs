@@ -13,9 +13,11 @@
 //!   semantics).
 //! - [`bounds`] — `[lower, upper]` truth bounds with upward *and* downward
 //!   inference rules (the LNN bidirectional-inference substrate).
-//! - [`kb`] — Horn-clause knowledge bases, naive-bottom-up forward chaining
-//!   and depth-limited backward chaining, both instrumented as symbolic
-//!   "other" operators.
+//! - [`kb`] — Horn-clause knowledge bases, semi-naive bottom-up forward
+//!   chaining (each rule body position joins only the previous
+//!   iteration's new facts, drawn from the predicate's range of the
+//!   ordered fact set) and depth-limited backward chaining, both
+//!   instrumented as symbolic "other" operators.
 //!
 //! ```
 //! use nsai_logic::term::{Term, Atom};

@@ -208,13 +208,6 @@ impl Tensor {
         self.data[0]
     }
 
-    /// Consume the tensor, returning its flat buffer.
-    pub fn into_vec(mut self) -> Vec<f32> {
-        std::mem::take(&mut self.data)
-        // Drop still runs and reports a dealloc of 0 extra bytes for the
-        // drained buffer; record the true release here.
-    }
-
     /// Number of non-zero elements.
     pub fn count_nonzero(&self) -> usize {
         self.data.iter().filter(|v| **v != 0.0).count()

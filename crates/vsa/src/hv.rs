@@ -168,11 +168,6 @@ impl Hypervector {
         &self.values
     }
 
-    /// Consume into the underlying tensor.
-    pub fn into_tensor(self) -> Tensor {
-        self.values
-    }
-
     fn check_compatible(&self, other: &Hypervector) -> Result<(), VsaError> {
         if self.model != other.model {
             return Err(VsaError::ModelMismatch {

@@ -22,7 +22,6 @@ use nsai_logic::kb::{KnowledgeBase, Rule};
 use nsai_logic::term::{Atom, Term};
 use nsai_tensor::Tensor;
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// A neuron in the compiled graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,6 +32,61 @@ enum Neuron {
     And(usize, usize),
     Or(usize, usize),
     Implies(usize, usize),
+}
+
+/// A connective kind the upward pass evaluates as one batch.
+#[derive(Debug, Clone, Copy)]
+enum Connective {
+    Not,
+    And,
+    Or,
+    Implies,
+}
+
+/// One connective's upward batch: its neuron ids in construction order
+/// and their left and right children (a negation's only child is on
+/// both sides).
+#[derive(Debug)]
+struct GatherPlan {
+    kind: Connective,
+    ids: Vec<usize>,
+    left: Vec<usize>,
+    right: Vec<usize>,
+}
+
+impl GatherPlan {
+    /// The four plans, in the order the upward pass runs them.
+    fn build(neurons: &[Neuron]) -> Vec<GatherPlan> {
+        [
+            Connective::Not,
+            Connective::And,
+            Connective::Or,
+            Connective::Implies,
+        ]
+        .into_iter()
+        .map(|kind| {
+            let mut plan = GatherPlan {
+                kind,
+                ids: Vec::new(),
+                left: Vec::new(),
+                right: Vec::new(),
+            };
+            for (id, neuron) in neurons.iter().enumerate() {
+                let children = match (kind, *neuron) {
+                    (Connective::Not, Neuron::Not(a)) => (a, a),
+                    (Connective::And, Neuron::And(a, b))
+                    | (Connective::Or, Neuron::Or(a, b))
+                    | (Connective::Implies, Neuron::Implies(a, b)) => (a, b),
+                    _ => continue,
+                };
+                plan.ids.push(id);
+                plan.left.push(children.0);
+                plan.right.push(children.1);
+            }
+            plan
+        })
+        .collect()
+    }
 }
 
 /// LNN configuration.
@@ -73,9 +127,13 @@ pub struct Lnn {
     /// an input weight makes the neuron tolerant to that input's
     /// uncertainty — LNN's "weighted real-valued logic".
     weights: Vec<(f32, f32, f32)>,
+    /// The upward pass's per-connective batches, built once.
+    plans: Vec<GatherPlan>,
     roots: Vec<usize>,
     observations: Vec<(usize, f64)>,
     leaf_of_prop: BTreeMap<usize, usize>,
+    /// The theorem prover's case-independent knowledge base, built once.
+    kb: KnowledgeBase,
 }
 
 impl Lnn {
@@ -94,14 +152,27 @@ impl Lnn {
             let root = compile(formula, &mut neurons, &mut leaf_of_prop);
             roots.push(root);
         }
-        let weights = vec![(1.0, 1.0, 1.0); neurons.len()];
+        Lnn::assemble(config, neurons, roots, theory.observations, leaf_of_prop)
+    }
+
+    /// Build a replica's per-instance state around a compiled graph: unit
+    /// weights, the gather plans and the theorem prover's KB.
+    fn assemble(
+        config: LnnConfig,
+        neurons: Vec<Neuron>,
+        roots: Vec<usize>,
+        observations: Vec<(usize, f64)>,
+        leaf_of_prop: BTreeMap<usize, usize>,
+    ) -> Self {
         Lnn {
             config,
+            weights: vec![(1.0, 1.0, 1.0); neurons.len()],
+            plans: GatherPlan::build(&neurons),
             neurons,
-            weights,
             roots,
-            observations: theory.observations,
+            observations,
             leaf_of_prop,
+            kb: university_theory(config.seed),
         }
     }
 
@@ -119,11 +190,6 @@ impl Lnn {
         self.weights[neuron] = (w_left, w_right, beta);
     }
 
-    /// Number of neurons in the compiled graph.
-    pub fn neuron_count(&self) -> usize {
-        self.neurons.len()
-    }
-
     /// Upward pass, batched per connective type with tensor kernels.
     /// `lower`/`upper` are `[n, 1]` bound arrays. Returns the largest
     /// bound change.
@@ -132,41 +198,15 @@ impl Lnn {
         // Process in topological (construction) order so children are
         // fresh; batch each connective kind.
         let mut max_delta = 0.0f32;
-        for kind in ["not", "and", "or", "implies"] {
-            let mut ids = Vec::new();
-            let mut left = Vec::new();
-            let mut right = Vec::new();
-            for (i, n) in self.neurons.iter().enumerate() {
-                match (kind, n) {
-                    ("not", Neuron::Not(a)) => {
-                        ids.push(i);
-                        left.push(*a);
-                        right.push(*a);
-                    }
-                    ("and", Neuron::And(a, b))
-                    | ("or", Neuron::Or(a, b))
-                    | ("implies", Neuron::Implies(a, b))
-                        if matches!(
-                            (kind, n),
-                            ("and", Neuron::And(..))
-                                | ("or", Neuron::Or(..))
-                                | ("implies", Neuron::Implies(..))
-                        ) =>
-                    {
-                        ids.push(i);
-                        left.push(*a);
-                        right.push(*b);
-                    }
-                    _ => {}
-                }
-            }
+        for plan in &self.plans {
+            let ids = &plan.ids;
             if ids.is_empty() {
                 continue;
             }
-            let l_lo = lower.gather_rows(&left)?;
-            let l_hi = upper.gather_rows(&left)?;
-            let r_lo = lower.gather_rows(&right)?;
-            let r_hi = upper.gather_rows(&right)?;
+            let l_lo = lower.gather_rows(&plan.left)?;
+            let l_hi = upper.gather_rows(&plan.left)?;
+            let r_lo = lower.gather_rows(&plan.right)?;
+            let r_hi = upper.gather_rows(&plan.right)?;
             // Per-neuron weight columns for this batch.
             let k = ids.len();
             let w_l = Tensor::from_vec(ids.iter().map(|&i| self.weights[i].0).collect(), &[k, 1])?;
@@ -199,13 +239,13 @@ impl Lnn {
                     .add(&w_r.mul(b)?)?
                     .clamp(0.0, 1.0))
             };
-            let (new_lo, new_hi) = match kind {
-                "not" => (l_hi.neg().add_scalar(1.0), l_lo.neg().add_scalar(1.0)),
-                "and" => (and_w(&l_lo, &r_lo)?, and_w(&l_hi, &r_hi)?),
-                "or" => (or_w(&l_lo, &r_lo)?, or_w(&l_hi, &r_hi)?),
+            let (new_lo, new_hi) = match plan.kind {
+                Connective::Not => (l_hi.neg().add_scalar(1.0), l_lo.neg().add_scalar(1.0)),
+                Connective::And => (and_w(&l_lo, &r_lo)?, and_w(&l_hi, &r_hi)?),
+                Connective::Or => (or_w(&l_lo, &r_lo)?, or_w(&l_hi, &r_hi)?),
                 // Implication is antitone in the antecedent: the lower
                 // bound uses the antecedent's upper bound and vice versa.
-                _ => (implies_w(&l_hi, &r_lo)?, implies_w(&l_lo, &r_hi)?),
+                Connective::Implies => (implies_w(&l_hi, &r_lo)?, implies_w(&l_lo, &r_hi)?),
             };
             // Scatter back, tracking convergence.
             for (row, &id) in ids.iter().enumerate() {
@@ -222,118 +262,71 @@ impl Lnn {
     }
 
     /// Downward pass: assert each formula root true and tighten children.
-    /// Returns (contradictions, visited-node count).
-    fn downward_pass(&self, lower: &mut Tensor, upper: &mut Tensor) -> (usize, u64) {
-        // nsai-lint: allow(determinism): wall clock only feeds the profiler event's duration, never the computation.
-        let start = Instant::now();
-        let mut contradictions = 0usize;
-        let mut visited = 0u64;
+    /// Returns the number of contradictions met.
+    fn downward_pass(&self, lower: &mut Tensor, upper: &mut Tensor) -> usize {
         // Bidirectional dataflow: the bound arrays are staged back from
         // the neural pass before symbolic tightening (LNN's data-movement
         // signature).
         let _staged_lower = lower.duplicate();
         let _staged_upper = upper.duplicate();
-
-        let get = |lower: &Tensor, upper: &Tensor, id: usize| {
-            TruthBounds::new(
-                lower.data()[id].clamp(0.0, 1.0) as f64,
-                upper.data()[id]
-                    .clamp(0.0, 1.0)
-                    .max(lower.data()[id].clamp(0.0, 1.0)) as f64,
-            )
-            .expect("clamped bounds are valid")
+        let (lo, hi) = (lower.data_mut(), upper.data_mut());
+        let get = |lo: &[f32], hi: &[f32], id: usize| {
+            let l = lo[id].clamp(0.0, 1.0);
+            TruthBounds::new(f64::from(l), f64::from(hi[id].clamp(0.0, 1.0).max(l)))
+                .expect("clamped bounds are valid")
         };
-        let set = |lower: &mut Tensor, upper: &mut Tensor, id: usize, b: TruthBounds| {
-            lower.data_mut()[id] = b.lower() as f32;
-            upper.data_mut()[id] = b.upper() as f32;
-        };
-
-        // Stack of (node, target bounds).
-        for &root in &self.roots {
-            let mut stack = vec![(root, TruthBounds::proven_true())];
-            while let Some((id, target)) = stack.pop() {
-                visited += 1;
-                let current = get(lower, upper, id);
-                let (tightened, contradiction) = current.tighten(&target);
-                if contradiction {
-                    contradictions += 1;
-                }
-                set(lower, upper, id, tightened);
-                match self.neurons[id] {
-                    Neuron::Leaf(_) => {}
-                    Neuron::Not(a) => {
-                        stack.push((a, tightened.negate()));
+        profile::time_op_with("bound_tighten", OpCategory::Other, || {
+            let mut contradictions = 0usize;
+            let mut visited = 0u64;
+            // Stack of (node, target bounds), shared by every root.
+            let mut stack = Vec::new();
+            for &root in &self.roots {
+                stack.push((root, TruthBounds::proven_true()));
+                while let Some((id, target)) = stack.pop() {
+                    visited += 1;
+                    let (tightened, contradiction) = get(lo, hi, id).tighten(&target);
+                    if contradiction {
+                        contradictions += 1;
                     }
-                    Neuron::And(a, b) => {
-                        let ba = get(lower, upper, a);
-                        let bb = get(lower, upper, b);
-                        stack.push((a, TruthBounds::and_down(&tightened, &bb)));
-                        stack.push((b, TruthBounds::and_down(&tightened, &ba)));
-                    }
-                    Neuron::Or(a, b) => {
-                        let ba = get(lower, upper, a);
-                        let bb = get(lower, upper, b);
-                        stack.push((a, TruthBounds::or_down(&tightened, &bb)));
-                        stack.push((b, TruthBounds::or_down(&tightened, &ba)));
-                    }
-                    Neuron::Implies(a, b) => {
-                        let ba = get(lower, upper, a);
-                        // Modus ponens tightens the consequent only; the
-                        // antecedent keeps its bounds.
-                        stack.push((b, TruthBounds::modus_ponens(&tightened, &ba)));
+                    lo[id] = tightened.lower() as f32;
+                    hi[id] = tightened.upper() as f32;
+                    match self.neurons[id] {
+                        Neuron::Leaf(_) => {}
+                        Neuron::Not(a) => {
+                            stack.push((a, tightened.negate()));
+                        }
+                        Neuron::And(a, b) => {
+                            let (ba, bb) = (get(lo, hi, a), get(lo, hi, b));
+                            stack.push((a, TruthBounds::and_down(&tightened, &bb)));
+                            stack.push((b, TruthBounds::and_down(&tightened, &ba)));
+                        }
+                        Neuron::Or(a, b) => {
+                            let (ba, bb) = (get(lo, hi, a), get(lo, hi, b));
+                            stack.push((a, TruthBounds::or_down(&tightened, &bb)));
+                            stack.push((b, TruthBounds::or_down(&tightened, &ba)));
+                        }
+                        Neuron::Implies(a, b) => {
+                            // Modus ponens tightens the consequent only; the
+                            // antecedent keeps its bounds.
+                            let ba = get(lo, hi, a);
+                            stack.push((b, TruthBounds::modus_ponens(&tightened, &ba)));
+                        }
                     }
                 }
             }
-        }
-        profile::record(
-            "bound_tighten",
-            OpCategory::Other,
-            OpMeta::new()
+            let meta = OpMeta::new()
                 .flops(visited * 4)
                 .bytes_read(visited * 16)
                 .bytes_written(visited * 8)
-                .output_elems(self.neurons.len() as u64),
-            start.elapsed(),
-        );
-        (contradictions, visited)
+                .output_elems(self.neurons.len() as u64);
+            (contradictions, meta)
+        })
     }
 
-    /// The theorem-prover side: chase a LUBM-flavoured KB with derivation
-    /// rules (run in the symbolic phase).
+    /// The theorem-prover side: chase the replica's LUBM-flavoured KB
+    /// with its derivation rules (run in the symbolic phase).
     fn theorem_prover(&self) -> usize {
-        let uni = university_kb(
-            UniversityConfig {
-                departments: 1,
-                professors_per_dept: 2,
-                students_per_dept: 5,
-                courses_per_dept: 3,
-            },
-            self.config.seed,
-        );
-        let mut kb = KnowledgeBase::new();
-        for (p, e) in &uni.unary {
-            kb.add_fact(Atom::prop1(p.clone(), e.clone()));
-        }
-        for (p, s, o) in &uni.binary {
-            kb.add_fact(Atom::prop2(p.clone(), s.clone(), o.clone()));
-        }
-        // colleague(X, Y) :- works_for(X, D), works_for(Y, D).
-        kb.add_rule(Rule::new(
-            Atom::new("colleague", vec![Term::var("X"), Term::var("Y")]),
-            vec![
-                Atom::new("works_for", vec![Term::var("X"), Term::var("D")]),
-                Atom::new("works_for", vec![Term::var("Y"), Term::var("D")]),
-            ],
-        ));
-        // taught_by(S, P) :- enrolled(S, C), teaches(P, C).
-        kb.add_rule(Rule::new(
-            Atom::new("taught_by", vec![Term::var("S"), Term::var("P")]),
-            vec![
-                Atom::new("enrolled", vec![Term::var("S"), Term::var("C")]),
-                Atom::new("teaches", vec![Term::var("P"), Term::var("C")]),
-            ],
-        ));
-        kb.forward_chain(4).len()
+        self.kb.forward_chain(4).len()
     }
 
     /// The observation set for one episode. Case 0 keeps the theory's own
@@ -381,11 +374,10 @@ impl Lnn {
         for _ in 0..self.config.max_iterations {
             iterations += 1;
             let delta_up = self.upward_pass(&mut lower, &mut upper)?;
-            let (contra, _) = {
+            contradictions += {
                 let _sym = phase_scope(Phase::Symbolic);
                 self.downward_pass(&mut lower, &mut upper)
             };
-            contradictions += contra;
             // Re-pin observations (they are ground truth).
             for &(prop, truth) in &observations {
                 if let Some(&leaf) = self.leaf_of_prop.get(&prop) {
@@ -419,6 +411,44 @@ impl Lnn {
         out.set("kb_derived_facts", derived as f64);
         Ok(out)
     }
+}
+
+/// The theorem prover's LUBM-flavoured knowledge base: one department's
+/// facts and two join rules.
+fn university_theory(seed: u64) -> KnowledgeBase {
+    let uni = university_kb(
+        UniversityConfig {
+            departments: 1,
+            professors_per_dept: 2,
+            students_per_dept: 5,
+            courses_per_dept: 3,
+        },
+        seed,
+    );
+    let mut kb = KnowledgeBase::new();
+    for (p, e) in &uni.unary {
+        kb.add_fact(Atom::prop1(p.clone(), e.clone()));
+    }
+    for (p, s, o) in &uni.binary {
+        kb.add_fact(Atom::prop2(p.clone(), s.clone(), o.clone()));
+    }
+    // colleague(X, Y) :- works_for(X, D), works_for(Y, D).
+    kb.add_rule(Rule::new(
+        Atom::new("colleague", vec![Term::var("X"), Term::var("Y")]),
+        vec![
+            Atom::new("works_for", vec![Term::var("X"), Term::var("D")]),
+            Atom::new("works_for", vec![Term::var("Y"), Term::var("D")]),
+        ],
+    ));
+    // taught_by(S, P) :- enrolled(S, C), teaches(P, C).
+    kb.add_rule(Rule::new(
+        Atom::new("taught_by", vec![Term::var("S"), Term::var("P")]),
+        vec![
+            Atom::new("enrolled", vec![Term::var("S"), Term::var("C")]),
+            Atom::new("teaches", vec![Term::var("P"), Term::var("C")]),
+        ],
+    ));
+    kb
 }
 
 /// Flatten a formula tree into the neuron array, sharing leaves.
@@ -544,14 +574,7 @@ mod tests {
             Box::new(FormulaTree::Leaf(1)),
         );
         let root = compile(&tree, &mut neurons, &mut leaves);
-        let lnn = Lnn {
-            config: LnnConfig::small(),
-            weights: vec![(1.0, 1.0, 1.0); neurons.len()],
-            neurons,
-            roots: vec![root],
-            observations: vec![],
-            leaf_of_prop: leaves,
-        };
+        let lnn = Lnn::assemble(LnnConfig::small(), neurons, vec![root], vec![], leaves);
         let n = lnn.neurons.len();
         let mut lower = Tensor::zeros(&[n, 1]);
         let mut upper = Tensor::ones(&[n, 1]);
@@ -574,14 +597,7 @@ mod tests {
             Box::new(FormulaTree::Leaf(1)),
         );
         let root = compile(&tree, &mut neurons, &mut leaves);
-        let mut lnn = Lnn {
-            config: LnnConfig::small(),
-            weights: vec![(1.0, 1.0, 1.0); neurons.len()],
-            neurons,
-            roots: vec![root],
-            observations: vec![],
-            leaf_of_prop: leaves,
-        };
+        let mut lnn = Lnn::assemble(LnnConfig::small(), neurons, vec![root], vec![], leaves);
         let n = lnn.neurons.len();
         let run = |lnn: &Lnn| {
             let mut lower = Tensor::zeros(&[n, 1]);

@@ -20,7 +20,6 @@ use nsai_nn::loss;
 use nsai_nn::optim::Adam;
 use nsai_nn::Mlp;
 use nsai_tensor::Tensor;
-use std::time::Instant;
 
 /// LTN configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,11 +110,29 @@ impl Ltn {
     /// Returns the aggregate satisfaction in `[0, 1]`.
     fn axiom_satisfaction(&self, truths: &[Tensor]) -> Result<f64, WorkloadError> {
         let _sym = phase_scope(Phase::Symbolic);
-        // nsai-lint: allow(determinism): wall clock only feeds the profiler event's duration, never the computation.
-        let start = Instant::now();
+        profile::time_op_with("fuzzy_aggregate", OpCategory::Other, || {
+            let mut aggregated: u64 = 0;
+            let sats = self.satisfaction_levels(truths, &mut aggregated);
+            let levels = sats.as_ref().map_or(0, Vec::len) as u64;
+            let meta = OpMeta::new()
+                .flops(3 * aggregated)
+                .bytes_read(aggregated * 8)
+                .bytes_written(levels * 8)
+                .output_elems(levels);
+            let overall = sats.map(|sats| sats.iter().copied().sum::<f64>() / sats.len() as f64);
+            (overall, meta)
+        })
+    }
+
+    /// The satisfaction level of every axiom instance, in evaluation
+    /// order. Adds the number of truth values aggregated to `aggregated`.
+    fn satisfaction_levels(
+        &self,
+        truths: &[Tensor],
+        aggregated: &mut u64,
+    ) -> Result<Vec<f64>, WorkloadError> {
         let p = self.config.p;
         let mut sats: Vec<f64> = Vec::new();
-        let mut aggregated: u64 = 0;
         for c in 0..self.config.classes {
             let members: Vec<usize> = (0..self.dataset.len())
                 .filter(|&i| self.dataset.labels[i] == c)
@@ -125,7 +142,7 @@ impl Ltn {
                 .iter()
                 .map(|&i| truths[c].data()[i] as f64)
                 .collect();
-            aggregated += own.len() as u64;
+            *aggregated += own.len() as u64;
             sats.push(forall_pmean_error(&own, p).map_err(WorkloadError::Logic)?);
             // Axiom 2 (fuzzy negation on the other predicates).
             for (d, truth_d) in truths.iter().enumerate().take(self.config.classes) {
@@ -136,7 +153,7 @@ impl Ltn {
                     .iter()
                     .map(|&i| 1.0 - truth_d.data()[i] as f64)
                     .collect();
-                aggregated += other.len() as u64;
+                *aggregated += other.len() as u64;
                 sats.push(forall_pmean_error(&other, p).map_err(WorkloadError::Logic)?);
             }
         }
@@ -144,7 +161,7 @@ impl Ltn {
         let mut exists_per_point = Vec::with_capacity(self.dataset.len());
         for i in 0..self.dataset.len() {
             let options: Vec<f64> = truths.iter().map(|t| t.data()[i] as f64).collect();
-            aggregated += options.len() as u64;
+            *aggregated += options.len() as u64;
             exists_per_point.push(exists_pmean(&options, p).map_err(WorkloadError::Logic)?);
         }
         sats.push(forall_pmean_error(&exists_per_point, p).map_err(WorkloadError::Logic)?);
@@ -181,22 +198,11 @@ impl Ltn {
             // 1 − mean((1 − t)^p)^(1/p).
             let err = truth.neg().add_scalar(1.0).powi(p as i32);
             let sat = 1.0 - (err.mean() as f64).powf(1.0 / p);
-            aggregated += (n * n) as u64;
+            *aggregated += (n * n) as u64;
             sats.push(sat);
         }
 
-        let overall = sats.iter().copied().sum::<f64>() / sats.len() as f64;
-        profile::record(
-            "fuzzy_aggregate",
-            OpCategory::Other,
-            OpMeta::new()
-                .flops(3 * aggregated)
-                .bytes_read(aggregated * 8)
-                .bytes_written(sats.len() as u64 * 8)
-                .output_elems(sats.len() as u64),
-            start.elapsed(),
-        );
-        Ok(overall)
+        Ok(sats)
     }
 
     /// Classification accuracy under argmax over predicates.

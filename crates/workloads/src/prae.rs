@@ -20,7 +20,6 @@ use nsai_core::taxonomy::{NsCategory, OpCategory, Phase};
 use nsai_data::rpm::{RpmGenerator, RpmProblem, ATTRIBUTE_CARDINALITIES};
 use nsai_tensor::ops::movement::TransferDirection;
 use nsai_tensor::Tensor;
-use std::time::Instant;
 
 /// PrAE configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -176,25 +175,21 @@ impl Prae {
     /// below) are kept alive throughout abduction.
     fn set_distribution(pos: &Tensor, num: &Tensor) -> Result<Tensor, WorkloadError> {
         let joint = pos.outer(num)?; // [9, 9]
-                                     // nsai-lint: allow(determinism): wall clock only feeds the profiler event's duration, never the computation.
-        let start = Instant::now();
-        let mut dist = vec![0.0f32; 512];
-        for i in 0..9 {
-            for m in 0..9 {
-                dist[Self::mask_of(i, m)] += joint.data()[i * 9 + m];
+        let dist = profile::time_op_with("set_scatter", OpCategory::Other, || {
+            let mut dist = vec![0.0f32; 512];
+            for i in 0..9 {
+                for m in 0..9 {
+                    dist[Self::mask_of(i, m)] += joint.data()[i * 9 + m];
+                }
             }
-        }
-        profile::record(
-            "set_scatter",
-            OpCategory::Other,
-            OpMeta::new()
+            let meta = OpMeta::new()
                 .flops(81)
                 .bytes_read(81 * 4)
                 .bytes_written(512 * 4)
                 .output_elems(512)
-                .output_nonzeros(dist.iter().filter(|v| **v != 0.0).count() as u64),
-            start.elapsed(),
-        );
+                .output_nonzeros(dist.iter().filter(|v| **v != 0.0).count() as u64);
+            (dist, meta)
+        });
         Ok(Tensor::from_vec(dist, &[512])?)
     }
 
@@ -212,29 +207,25 @@ impl Prae {
     /// around the 9-slot grid (the set-space image of an index
     /// progression, since `slots(i+δ, m) = rotate_δ(slots(i, m))`).
     pub fn set_rotate(dist: &Tensor, delta: i32) -> Result<Tensor, WorkloadError> {
-        // nsai-lint: allow(determinism): wall clock only feeds the profiler event's duration, never the computation.
-        let start = Instant::now();
-        let shift = delta.rem_euclid(9) as u32;
-        let mut out = vec![0.0f32; 512];
-        for (mask, p) in dist.data().iter().enumerate() {
-            if *p == 0.0 {
-                continue;
+        let out = profile::time_op_with("set_rotate", OpCategory::Other, || {
+            let shift = delta.rem_euclid(9) as u32;
+            let mut out = vec![0.0f32; 512];
+            for (mask, p) in dist.data().iter().enumerate() {
+                if *p == 0.0 {
+                    continue;
+                }
+                let m = mask as u32;
+                let rotated = ((m << shift) | (m >> (9 - shift))) & 0x1FF;
+                out[rotated as usize] += p;
             }
-            let m = mask as u32;
-            let rotated = ((m << shift) | (m >> (9 - shift))) & 0x1FF;
-            out[rotated as usize] += p;
-        }
-        profile::record(
-            "set_rotate",
-            OpCategory::Other,
-            OpMeta::new()
+            let meta = OpMeta::new()
                 .flops(512)
                 .bytes_read(512 * 4)
                 .bytes_written(512 * 4)
                 .output_elems(512)
-                .output_nonzeros(out.iter().filter(|v| **v != 0.0).count() as u64),
-            start.elapsed(),
-        );
+                .output_nonzeros(out.iter().filter(|v| **v != 0.0).count() as u64);
+            (out, meta)
+        });
         Ok(Tensor::from_vec(out, &[512])?)
     }
 
@@ -270,26 +261,22 @@ impl Prae {
     fn set_rule_predict(a: &Tensor, b: &Tensor, union: bool) -> Result<Tensor, WorkloadError> {
         // Materialize the joint: 512×512 f32 = 1 MiB per evaluation.
         let joint = a.outer(b)?;
-        // nsai-lint: allow(determinism): wall clock only feeds the profiler event's duration, never the computation.
-        let start = Instant::now();
-        let mut out = vec![0.0f32; 512];
-        for ma in 0..512 {
-            for mb in 0..512 {
-                let m = if union { ma | mb } else { ma & !mb };
-                out[m] += joint.data()[ma * 512 + mb];
+        let out = profile::time_op_with("set_rule_marginalize", OpCategory::Other, || {
+            let mut out = vec![0.0f32; 512];
+            for ma in 0..512 {
+                for mb in 0..512 {
+                    let m = if union { ma | mb } else { ma & !mb };
+                    out[m] += joint.data()[ma * 512 + mb];
+                }
             }
-        }
-        profile::record(
-            "set_rule_marginalize",
-            OpCategory::Other,
-            OpMeta::new()
+            let meta = OpMeta::new()
                 .flops(512 * 512)
                 .bytes_read(512 * 512 * 4)
                 .bytes_written(512 * 4)
                 .output_elems(512)
-                .output_nonzeros(out.iter().filter(|v| **v != 0.0).count() as u64),
-            start.elapsed(),
-        );
+                .output_nonzeros(out.iter().filter(|v| **v != 0.0).count() as u64);
+            (out, meta)
+        });
         Ok(Tensor::from_vec(out, &[512])?.normalize_prob()?)
     }
 

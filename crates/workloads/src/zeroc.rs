@@ -145,70 +145,65 @@ impl ZeroC {
         max_per_primitive: usize,
     ) -> Vec<Detection> {
         let _sym = phase_scope(Phase::Symbolic);
-        // nsai-lint: allow(determinism): wall clock only feeds the profiler event's duration, never the computation.
-        let start = std::time::Instant::now();
-        let mut scanned: u64 = 0;
-        let mut by_primitive: Vec<(Primitive, Vec<Detection>)> =
-            Primitive::ALL.iter().map(|p| (*p, Vec::new())).collect();
-        for (primitive, k, map) in maps {
-            let dims = map.dims();
-            let (h, w) = (dims[2], dims[3]);
-            // Top peaks with a crude spatial separation of k/2.
-            let mut candidates: Vec<Detection> = Vec::new();
-            for y in 0..h {
-                for x in 0..w {
-                    scanned += 1;
-                    let v = map.data()[y * w + x];
-                    if v <= 0.2 {
-                        continue;
+        profile::time_op_with("peak_extraction", OpCategory::Other, || {
+            let mut scanned: u64 = 0;
+            let mut by_primitive: Vec<(Primitive, Vec<Detection>)> =
+                Primitive::ALL.iter().map(|p| (*p, Vec::new())).collect();
+            for (primitive, k, map) in maps {
+                let dims = map.dims();
+                let (h, w) = (dims[2], dims[3]);
+                // Top peaks with a crude spatial separation of k/2.
+                let mut candidates: Vec<Detection> = Vec::new();
+                for y in 0..h {
+                    for x in 0..w {
+                        scanned += 1;
+                        let v = map.data()[y * w + x];
+                        if v <= 0.2 {
+                            continue;
+                        }
+                        candidates.push(Detection {
+                            primitive: *primitive,
+                            row: y,
+                            col: x,
+                            scale: *k,
+                            response: v,
+                        });
                     }
-                    candidates.push(Detection {
-                        primitive: *primitive,
-                        row: y,
-                        col: x,
-                        scale: *k,
-                        response: v,
-                    });
                 }
+                candidates.sort_by(|a, b| b.response.partial_cmp(&a.response).expect("finite"));
+                let mut kept: Vec<Detection> = Vec::new();
+                for c in candidates {
+                    let sep = (*k / 2).max(2);
+                    if kept
+                        .iter()
+                        .all(|d| d.row.abs_diff(c.row) >= sep || d.col.abs_diff(c.col) >= sep)
+                    {
+                        kept.push(c);
+                    }
+                    if kept.len() >= max_per_primitive {
+                        break;
+                    }
+                }
+                by_primitive
+                    .iter_mut()
+                    .find(|(p, _)| p == primitive)
+                    .expect("all primitives present")
+                    .1
+                    .extend(kept);
             }
-            candidates.sort_by(|a, b| b.response.partial_cmp(&a.response).expect("finite"));
-            let mut kept: Vec<Detection> = Vec::new();
-            for c in candidates {
-                let sep = (*k / 2).max(2);
-                if kept
-                    .iter()
-                    .all(|d| d.row.abs_diff(c.row) >= sep || d.col.abs_diff(c.col) >= sep)
-                {
-                    kept.push(c);
-                }
-                if kept.len() >= max_per_primitive {
-                    break;
-                }
+            let mut out = Vec::new();
+            for (_, mut dets) in by_primitive {
+                dets.sort_by(|a, b| b.response.partial_cmp(&a.response).expect("finite"));
+                dets.truncate(max_per_primitive);
+                out.extend(dets);
             }
-            by_primitive
-                .iter_mut()
-                .find(|(p, _)| p == primitive)
-                .expect("all primitives present")
-                .1
-                .extend(kept);
-        }
-        let mut out = Vec::new();
-        for (_, mut dets) in by_primitive {
-            dets.sort_by(|a, b| b.response.partial_cmp(&a.response).expect("finite"));
-            dets.truncate(max_per_primitive);
-            out.extend(dets);
-        }
-        profile::record(
-            "peak_extraction",
-            OpCategory::Other,
-            OpMeta::new()
+            let meta = OpMeta::new()
                 .flops(scanned)
                 .bytes_read(scanned * 4)
                 .bytes_written(out.len() as u64 * 24)
-                .output_elems(out.len() as u64),
-            start.elapsed(),
-        );
-        out
+                .output_elems(out.len() as u64);
+            (out, meta)
+        })
     }
 
     /// Whether a relation holds between two detections.
@@ -236,84 +231,79 @@ impl ZeroC {
     /// combinatorial search).
     fn ground(&self, concept: &ConceptGraph, detections: &[Detection]) -> f32 {
         let _sym = phase_scope(Phase::Symbolic);
-        // nsai-lint: allow(determinism): wall clock only feeds the profiler event's duration, never the computation.
-        let start = std::time::Instant::now();
-        let n = concept.nodes.len();
-        let mut best = f32::NEG_INFINITY;
-        // Candidate detections per node (matching primitive kind).
-        let candidates: Vec<Vec<usize>> = concept
-            .nodes
-            .iter()
-            .map(|p| {
-                detections
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, d)| d.primitive == *p)
-                    .map(|(i, _)| i)
-                    .collect()
-            })
-            .collect();
-        // Exhaustive injective assignment (node counts are tiny).
-        let mut assignment = vec![usize::MAX; n];
-        fn recurse(
-            node: usize,
-            candidates: &[Vec<usize>],
-            assignment: &mut Vec<usize>,
-            detections: &[Detection],
-            concept: &ConceptGraph,
-            best: &mut f32,
-        ) {
-            let n = candidates.len();
-            if node == n {
-                let mut score = 0.0f32;
-                for &d in assignment.iter() {
-                    score += detections[d].response;
-                }
-                for &(a, b, rel) in &concept.edges {
-                    if ZeroC::relation_holds(
-                        rel,
-                        &detections[assignment[a]],
-                        &detections[assignment[b]],
-                    ) {
-                        score += 1.0;
-                    } else {
-                        score -= 1.0;
+        profile::time_op_with("graph_grounding", OpCategory::Other, || {
+            let n = concept.nodes.len();
+            let mut best = f32::NEG_INFINITY;
+            // Candidate detections per node (matching primitive kind).
+            let candidates: Vec<Vec<usize>> = concept
+                .nodes
+                .iter()
+                .map(|p| {
+                    detections
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, d)| d.primitive == *p)
+                        .map(|(i, _)| i)
+                        .collect()
+                })
+                .collect();
+            // Exhaustive injective assignment (node counts are tiny).
+            let mut assignment = vec![usize::MAX; n];
+            fn recurse(
+                node: usize,
+                candidates: &[Vec<usize>],
+                assignment: &mut Vec<usize>,
+                detections: &[Detection],
+                concept: &ConceptGraph,
+                best: &mut f32,
+            ) {
+                let n = candidates.len();
+                if node == n {
+                    let mut score = 0.0f32;
+                    for &d in assignment.iter() {
+                        score += detections[d].response;
                     }
+                    for &(a, b, rel) in &concept.edges {
+                        if ZeroC::relation_holds(
+                            rel,
+                            &detections[assignment[a]],
+                            &detections[assignment[b]],
+                        ) {
+                            score += 1.0;
+                        } else {
+                            score -= 1.0;
+                        }
+                    }
+                    if score > *best {
+                        *best = score;
+                    }
+                    return;
                 }
-                if score > *best {
-                    *best = score;
+                for &cand in &candidates[node] {
+                    if assignment[..node].contains(&cand) {
+                        continue;
+                    }
+                    assignment[node] = cand;
+                    recurse(node + 1, candidates, assignment, detections, concept, best);
+                    assignment[node] = usize::MAX;
                 }
-                return;
             }
-            for &cand in &candidates[node] {
-                if assignment[..node].contains(&cand) {
-                    continue;
-                }
-                assignment[node] = cand;
-                recurse(node + 1, candidates, assignment, detections, concept, best);
-                assignment[node] = usize::MAX;
-            }
-        }
-        recurse(
-            0,
-            &candidates,
-            &mut assignment,
-            detections,
-            concept,
-            &mut best,
-        );
-        let assignments: u64 = candidates.iter().map(|c| c.len().max(1) as u64).product();
-        profile::record(
-            "graph_grounding",
-            OpCategory::Other,
-            OpMeta::new()
+            recurse(
+                0,
+                &candidates,
+                &mut assignment,
+                detections,
+                concept,
+                &mut best,
+            );
+            let assignments: u64 = candidates.iter().map(|c| c.len().max(1) as u64).product();
+            let meta = OpMeta::new()
                 .flops(assignments * (n as u64 + concept.edges.len() as u64))
                 .bytes_read(assignments * 24)
                 .bytes_written(4)
-                .output_elems(1),
-            start.elapsed(),
-        );
-        best
+                .output_elems(1);
+            (best, meta)
+        })
     }
 
     /// Classify a scene among the catalog concepts (zero-shot).
