@@ -352,9 +352,11 @@ const SERVE_WORKLOAD: &str = "lnn";
 const SERVE_WORKERS: usize = 2;
 const SERVE_QUEUE: usize = 32;
 const SERVE_MAX_BATCH: usize = 8;
-const SERVE_MAX_WAIT_US: u64 = 200;
-const SERVE_CLIENTS: usize = 4;
 const SERVE_PER_CLIENT: usize = 4;
+/// Client counts of the closed-loop pairs: 4, twice the workers, and 16,
+/// a saturating load where most requests queue behind busy workers.
+const SERVE_CLIENTS: usize = 4;
+const SERVE_SATURATING_CLIENTS: usize = 16;
 
 /// A closed-loop sample through the serving runtime: total wall clock
 /// for the request set, plus the median queue-wait (the overhead the
@@ -362,29 +364,37 @@ const SERVE_PER_CLIENT: usize = 4;
 /// slice of the characterization). With `max_batch` 1 the same request
 /// set runs unbatched, under ids suffixed `_unbatched`, so the pair
 /// reads as the batching effect at this load. Both sides record the
-/// same counters; only `max_batch` tells them apart.
+/// same counters; only `max_batch` tells them apart. Ids of the
+/// saturating client count carry a `_16c` suffix.
 struct ServeBench {
     seed: u64,
+    clients: usize,
     max_batch: usize,
     server: Option<Server>,
 }
 
 impl ServeBench {
-    fn new(seed: u64, max_batch: usize) -> Self {
+    fn new(seed: u64, clients: usize, max_batch: usize) -> Self {
         ServeBench {
             seed,
+            clients,
             max_batch,
             server: None,
         }
     }
 
     fn id(&self, name: &str) -> String {
-        let suffix = if self.max_batch == 1 {
+        let clients = if self.clients == SERVE_CLIENTS {
+            String::new()
+        } else {
+            format!("_{}c", self.clients)
+        };
+        let batching = if self.max_batch == 1 {
             "_unbatched"
         } else {
             ""
         };
-        format!("serve/{SERVE_WORKLOAD}/{name}{suffix}")
+        format!("serve/{SERVE_WORKLOAD}/{name}{clients}{batching}")
     }
 
     fn start_server(&self) -> Server {
@@ -392,8 +402,7 @@ impl ServeBench {
             ServeConfig::default()
                 .workers(SERVE_WORKERS)
                 .queue_capacity(SERVE_QUEUE)
-                .max_batch(self.max_batch)
-                .max_wait_us(SERVE_MAX_WAIT_US),
+                .max_batch(self.max_batch),
         )
         .register(SERVE_WORKLOAD, || {
             Box::new(nsai_workloads::Lnn::new(nsai_workloads::LnnConfig::small()))
@@ -408,7 +417,7 @@ impl Measurement for ServeBench {
         // Start the server once (worker replicas prepare here) and push
         // one warm-up round through it.
         let server = self.start_server();
-        closed_loop(&server, SERVE_WORKLOAD, SERVE_CLIENTS, 1, self.seed);
+        closed_loop(&server, SERVE_WORKLOAD, self.clients, 1, self.seed);
         server.reset_metrics();
         self.server = Some(server);
         Ok(())
@@ -420,12 +429,12 @@ impl Measurement for ServeBench {
         }
         let server = self.server.as_ref().expect("server just ensured");
         server.reset_metrics();
-        let requests = (SERVE_CLIENTS * SERVE_PER_CLIENT) as u64;
+        let requests = (self.clients * SERVE_PER_CLIENT) as u64;
         let started = Instant::now();
         let records = closed_loop(
             server,
             SERVE_WORKLOAD,
-            SERVE_CLIENTS,
+            self.clients,
             SERVE_PER_CLIENT,
             self.seed,
         );
@@ -782,7 +791,11 @@ pub fn run_suite(
             instance: None,
         }));
     }
-    measurements.push(Box::new(ServeBench::new(seed, SERVE_MAX_BATCH)));
+    measurements.push(Box::new(ServeBench::new(
+        seed,
+        SERVE_CLIENTS,
+        SERVE_MAX_BATCH,
+    )));
     // The ablations come after the entries above so those keep their
     // order (and their neighbours) across revisions.
     for bench in at_widths(&config.widths, || pool_ablation_specs(seed)) {
@@ -791,7 +804,14 @@ pub fn run_suite(
     for (id, op) in ablation_specs(seed) {
         measurements.push(Box::new(MicroBench { id, width: 1, op }));
     }
-    measurements.push(Box::new(ServeBench::new(seed, 1)));
+    measurements.push(Box::new(ServeBench::new(seed, SERVE_CLIENTS, 1)));
+    for max_batch in [SERVE_MAX_BATCH, 1] {
+        measurements.push(Box::new(ServeBench::new(
+            seed,
+            SERVE_SATURATING_CLIENTS,
+            max_batch,
+        )));
+    }
 
     progress(&format!(
         "warming up {} measurements...",

@@ -66,6 +66,8 @@ fn suite_covers_all_sections_with_expected_ids() {
     assert!(has("serve/lnn/queue_wait_p50"));
     assert!(has("serve/lnn/closed_loop_unbatched"));
     assert!(has("serve/lnn/queue_wait_p50_unbatched"));
+    assert!(has("serve/lnn/closed_loop_16c"));
+    assert!(has("serve/lnn/closed_loop_16c_unbatched"));
 
     // Phase counters decompose the totals.
     let total = report.entry("workload/lnn/total").unwrap();
@@ -94,6 +96,17 @@ fn suite_covers_all_sections_with_expected_ids() {
             .unwrap_or_else(|| panic!("{id}: no {key}"))
     };
     let flops = |id: &str| counter(id, "flops");
+    // The saturating pair serves 16 clients' requests, 4 times the set.
+    for suffix in ["", "_unbatched"] {
+        assert_eq!(
+            counter(&format!("serve/lnn/closed_loop{suffix}"), "requests"),
+            16
+        );
+        assert_eq!(
+            counter(&format!("serve/lnn/closed_loop_16c{suffix}"), "requests"),
+            64
+        );
+    }
     let pairs = [
         ("ablate/circconv/direct/d1024", "ablate/circconv/fft/d1024"),
         (

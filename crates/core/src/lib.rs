@@ -32,8 +32,6 @@
 //!   prints.
 //! - [`export`] — Chrome trace-event export for timeline inspection in
 //!   `chrome://tracing` / Perfetto.
-//! - [`compare`] — report diffing for optimization studies (per-phase and
-//!   per-cell speedups).
 //! - [`counters`] — order-independent deterministic work counters, the
 //!   exactly-gated half of the continuous-characterization baseline.
 //! - [`takeaways`] — programmatic checks of the paper's Takeaways 1–7
@@ -63,7 +61,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod compare;
 pub mod counters;
 pub mod error;
 pub mod event;

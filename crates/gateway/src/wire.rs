@@ -306,12 +306,9 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Frame, WireError> {
             header[7]
         )));
     }
-    // nsai-lint: allow(panic-reachability): fixed-width slices of the checked 28-byte header — infallible
-    let id = u64::from_le_bytes(header[8..16].try_into().expect("8-byte slice"));
-    // nsai-lint: allow(panic-reachability): fixed-width slices of the checked 28-byte header — infallible
-    let aux = u64::from_le_bytes(header[16..24].try_into().expect("8-byte slice"));
-    // nsai-lint: allow(panic-reachability): fixed-width slices of the checked 28-byte header — infallible
-    let len = u32::from_le_bytes(header[24..28].try_into().expect("4-byte slice"));
+    let id = u64::from_le_bytes(header_field(&header, 8));
+    let aux = u64::from_le_bytes(header_field(&header, 16));
+    let len = u32::from_le_bytes(header_field(&header, 24));
     if len > MAX_PAYLOAD {
         return Err(WireError::TooLarge(len));
     }
@@ -325,18 +322,17 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Frame, WireError> {
                     "request carries status {status_raw} (must be 0)"
                 )));
             }
-            if payload.len() != 8 {
+            let Ok(case) = <[u8; 8]>::try_from(payload.as_slice()) else {
                 return Err(WireError::Malformed(format!(
                     "request payload is {} bytes (want 8-byte case id)",
                     payload.len()
                 )));
-            }
+            };
             Ok(Frame::Request {
                 id,
                 workload: aux as u32,
                 deadline_us: (aux >> 32) as u32,
-                // nsai-lint: allow(panic-reachability): payload length checked to be exactly 8 above
-                case: u64::from_le_bytes(payload[..8].try_into().expect("8-byte slice")),
+                case: u64::from_le_bytes(case),
             })
         }
         FrameType::Response => {
@@ -363,6 +359,12 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Frame, WireError> {
             })
         }
     }
+}
+
+/// The `N` header bytes starting at `at`, as an array. Every field sits
+/// inside the fixed-size header, so no length check can fail.
+fn header_field<const N: usize>(header: &[u8; HEADER_LEN], at: usize) -> [u8; N] {
+    std::array::from_fn(|i| header[at + i])
 }
 
 fn header_bytes(

@@ -8,10 +8,11 @@ use std::time::Duration;
 ///
 /// - `queue_capacity` bounds memory and tail latency under overload —
 ///   submissions beyond it are rejected, not buffered.
-/// - `max_batch` / `max_wait_us` trade per-request latency for shared
-///   work: a worker holds the first request of a batch for at most
-///   `max_wait_us` while coalescing up to `max_batch` same-workload
-///   requests.
+/// - `max_batch` caps how many same-workload requests a worker takes
+///   in one `run_batch` call. Batching is greedy: the worker takes the
+///   ones already queued behind its first request and never holds that
+///   request waiting for more, so an idle server dispatches at once and
+///   batches form only when requests queue behind busy workers.
 /// - `workers` is the number of serving threads. Each executes kernels
 ///   through `nsai_tensor::par`, whose width is governed separately by
 ///   `NEUROSYM_THREADS`; nested submission degrades to serial there, so
@@ -26,10 +27,6 @@ pub struct ServeConfig {
     /// Largest number of same-workload requests coalesced into one
     /// `run_batch` call. 1 disables batching.
     pub max_batch: usize,
-    /// Longest a worker waits for stragglers after popping the first
-    /// request of a batch, in microseconds. 0 means batches form only
-    /// from requests already queued.
-    pub max_wait_us: u64,
     /// Number of worker threads (each owns one prepared replica per
     /// registered workload).
     pub workers: usize,
@@ -44,7 +41,6 @@ impl Default for ServeConfig {
         ServeConfig {
             queue_capacity: 64,
             max_batch: 8,
-            max_wait_us: 500,
             workers: 2,
             timeout: None,
         }
@@ -61,12 +57,6 @@ impl ServeConfig {
     /// Set the maximum batch size (clamped to at least 1).
     pub fn max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch.max(1);
-        self
-    }
-
-    /// Set the straggler wait in microseconds.
-    pub fn max_wait_us(mut self, us: u64) -> Self {
-        self.max_wait_us = us;
         self
     }
 

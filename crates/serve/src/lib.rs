@@ -15,11 +15,12 @@
 //!   or rejects it immediately with [`SubmitError::QueueFull`] — under
 //!   overload, queue depth and memory stay bounded by the configured
 //!   capacity and the excess is pushed back to the caller.
-//! - A **dynamic micro-batcher** runs inside each worker: after popping
-//!   a request it coalesces further same-workload requests until
-//!   [`ServeConfig::max_batch`] is reached or
-//!   [`ServeConfig::max_wait_us`] expires, then executes the batch via
-//!   [`nsai_workloads::Workload::run_batch`]. Workloads whose episodes
+//! - A **greedy micro-batcher** runs inside each worker: after popping
+//!   a request it takes the same-workload requests already queued behind
+//!   it, up to [`ServeConfig::max_batch`], without waiting for more, then
+//!   executes the batch via [`nsai_workloads::Workload::run_batch`]. An
+//!   idle server dispatches each request at once; batches form when
+//!   requests queue behind busy workers. Workloads whose episodes
 //!   share work (one ConvNet forward over all panels for NVSA/PrAE, a
 //!   shared theorem-prover chase for LNN) turn that coalescing into real
 //!   throughput; the contract that batch outputs are bitwise-identical

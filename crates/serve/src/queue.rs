@@ -10,7 +10,6 @@ use crate::request::QueuedRequest;
 use nsai_core::failpoint;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
 
 /// Why a push did not enqueue. The request is dropped with the error —
 /// the submitter still holds the ticket and reports the failure itself.
@@ -29,9 +28,10 @@ struct QueueState {
 
 pub(crate) struct BoundedQueue {
     state: Mutex<QueueState>,
-    /// Signalled on push and on close; workers (idle or coalescing) wait
-    /// here. `notify_all` because a push may need to wake both an idle
-    /// worker and one waiting for stragglers.
+    /// Signalled on push and on close; idle workers wait here. Both
+    /// `notify_all`: a close must wake every worker, and after a push
+    /// the first woken worker to take the lock claims the request while
+    /// the others find the queue empty and wait again.
     not_empty: Condvar,
     /// Signalled when space frees up; blocking submitters wait here.
     not_full: Condvar,
@@ -120,49 +120,30 @@ impl BoundedQueue {
         }
     }
 
-    /// Steal queued requests that share `batch[0]`'s workload and
-    /// profiler target into `batch` until it holds `max_batch` entries,
-    /// waiting up to `max_wait` for stragglers. FIFO order among stolen
-    /// requests is preserved; other requests are left in place for
-    /// other workers.
-    pub(crate) fn fill_batch(
-        &self,
-        batch: &mut Vec<QueuedRequest>,
-        max_batch: usize,
-        max_wait: Duration,
-    ) {
-        let deadline = Instant::now() + max_wait;
+    /// Steal the queued requests that share `batch[0]`'s workload and
+    /// profiler target into `batch` until it holds `max_batch` entries.
+    /// Never waits: a batch is whatever has already queued behind busy
+    /// workers. FIFO order among stolen requests is preserved; other
+    /// requests are left in place for other workers.
+    pub(crate) fn fill_batch(&self, batch: &mut Vec<QueuedRequest>, max_batch: usize) {
         let mut state = self.state.lock();
-        loop {
-            let mut i = 0;
-            while batch.len() < max_batch && i < state.items.len() {
-                if batch
-                    .first()
-                    .is_some_and(|head| head.batches_with(&state.items[i]))
-                {
-                    // `i` is bounds-checked by the loop condition, so
-                    // `remove` cannot return `None`; the `else` arm keeps
-                    // the hot path panic-free regardless.
-                    let Some(request) = state.items.remove(i) else {
-                        break;
-                    };
-                    batch.push(request);
-                    self.not_full.notify_one();
-                } else {
-                    i += 1;
-                }
+        let mut i = 0;
+        while batch.len() < max_batch && i < state.items.len() {
+            if batch
+                .first()
+                .is_some_and(|head| head.batches_with(&state.items[i]))
+            {
+                // `i` is bounds-checked by the loop condition, so
+                // `remove` cannot return `None`; the `else` arm keeps
+                // the hot path panic-free regardless.
+                let Some(request) = state.items.remove(i) else {
+                    break;
+                };
+                batch.push(request);
+                self.not_full.notify_one();
+            } else {
+                i += 1;
             }
-            if batch.len() >= max_batch || state.closed {
-                return;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return;
-            }
-            // A timed-out wait still falls through to one final scan, so
-            // a request that raced the timeout is not stranded waiting
-            // for another worker.
-            let _ = self.not_empty.wait_for(&mut state, deadline - now);
         }
     }
 
@@ -189,6 +170,7 @@ mod tests {
     use crate::request::Ticket;
     use nsai_core::profile::Scope;
     use nsai_workloads::CaseInput;
+    use std::time::Instant;
 
     fn request(workload: usize, case: u64) -> QueuedRequest {
         let (_ticket, slot) = Ticket::new();
@@ -264,7 +246,7 @@ mod tests {
         let first = queue.pop_wait().expect("queued");
         assert_eq!(first.workload, 0);
         let mut batch = vec![first];
-        queue.fill_batch(&mut batch, 3, Duration::from_micros(0));
+        queue.fill_batch(&mut batch, 3);
         let cases: Vec<u64> = batch.iter().map(|r| r.input.case).collect();
         assert_eq!(cases, vec![0, 1, 2]);
         assert_eq!(queue.len(), 2);
@@ -281,29 +263,11 @@ mod tests {
         }
         queue.try_push(request(0, 2)).ok();
         let mut batch = vec![queue.pop_wait().expect("queued")];
-        queue.fill_batch(&mut batch, 8, Duration::from_micros(0));
+        queue.fill_batch(&mut batch, 8);
         let cases: Vec<u64> = batch.iter().map(|r| r.input.case).collect();
         assert_eq!(cases, vec![0, 2]);
         let mut traced = vec![queue.pop_wait().expect("queued")];
-        queue.fill_batch(&mut traced, 8, Duration::from_micros(0));
+        queue.fill_batch(&mut traced, 8);
         assert_eq!(traced.len(), 1);
-    }
-
-    #[test]
-    fn fill_batch_waits_for_straggler() {
-        let queue = std::sync::Arc::new(BoundedQueue::new(8));
-        queue.try_push(request(0, 0)).ok();
-        let first = queue.pop_wait().expect("queued");
-        let producer = {
-            let queue = std::sync::Arc::clone(&queue);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(5));
-                queue.try_push(request(0, 1)).ok();
-            })
-        };
-        let mut batch = vec![first];
-        queue.fill_batch(&mut batch, 2, Duration::from_millis(500));
-        producer.join().unwrap();
-        assert_eq!(batch.len(), 2);
     }
 }

@@ -433,11 +433,7 @@ fn worker_loop(shared: &SharedState, mut replicas: Vec<Box<dyn Workload + Send>>
         let workload = first.workload;
         let mut batch = vec![first];
         if shared.config.max_batch > 1 {
-            shared.queue.fill_batch(
-                &mut batch,
-                shared.config.max_batch,
-                std::time::Duration::from_micros(shared.config.max_wait_us),
-            );
+            shared.queue.fill_batch(&mut batch, shared.config.max_batch);
         }
 
         let dispatched_at = Instant::now();

@@ -10,6 +10,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+#[path = "support/gate.rs"]
+mod gate;
+use gate::Gate;
+
 /// Minimal deterministic workload for scheduling tests: output echoes
 /// the case id, with optional per-case service time and a poison case
 /// that panics.
@@ -141,32 +145,30 @@ fn overload_stays_bounded_and_sheds_the_excess() {
 fn queue_depth_peak_never_counts_a_claimed_request() {
     const CAPACITY: usize = 2;
     let executed = Arc::new(AtomicU64::new(0));
-    let (first, second) = (Arc::clone(&executed), Arc::clone(&executed));
-    let server = Server::builder(
-        ServeConfig::default()
-            .queue_capacity(CAPACITY)
-            .workers(1)
-            .max_batch(4)
-            // Longer than the test: the worker holds its claimed request
-            // until shutdown ends the straggler wait.
-            .max_wait_us(10_000_000),
-    )
-    .register("first", move || {
-        Box::new(Echo::new(Duration::ZERO, None, Arc::clone(&first)))
-    })
-    .register("second", move || {
-        Box::new(Echo::new(Duration::ZERO, None, Arc::clone(&second)))
-    })
-    .start()
-    .expect("echo prepares trivially");
-    let mut tickets = vec![server.submit("first", CaseInput::new(0)).expect("admitted")];
-    // At capacity 2 the second blocking submit is admitted only once the
-    // worker has claimed the first request, which it then holds while
-    // waiting for same-workload stragglers.
-    for case in 1..=2 {
-        let ticket = server.submit_blocking("second", CaseInput::new(case));
-        tickets.push(ticket.expect("admitted"));
-    }
+    let handle = Arc::clone(&executed);
+    let gate = Gate::default();
+    let server = gate
+        .register(Server::builder(
+            ServeConfig::default()
+                .queue_capacity(CAPACITY)
+                .workers(1)
+                .max_batch(4),
+        ))
+        .register("echo", move || {
+            Box::new(Echo::new(Duration::ZERO, None, Arc::clone(&handle)))
+        })
+        .start()
+        .expect("echo prepares trivially");
+    // The only worker has claimed the gate request and holds it, so the
+    // queue fills to capacity behind it.
+    let parked = gate.park(&server, 1);
+    let tickets: Vec<_> = (1..=2)
+        .map(|case| {
+            server
+                .submit("echo", CaseInput::new(case))
+                .expect("admitted")
+        })
+        .collect();
     assert_eq!(
         server.metrics_snapshot().queue_depth_peak,
         CAPACITY as u64,
@@ -175,11 +177,12 @@ fn queue_depth_peak_never_counts_a_claimed_request() {
     // A new measurement window starts from the requests still queued.
     server.reset_metrics();
     assert_eq!(server.metrics_snapshot().queue_depth_peak, CAPACITY as u64);
+    gate.open();
     server.shutdown(ShutdownMode::Drain);
-    for ticket in &tickets {
+    for ticket in parked.iter().chain(&tickets) {
         assert!(ticket.wait().is_ok());
     }
-    assert_eq!(executed.load(Ordering::Relaxed), 3);
+    assert_eq!(executed.load(Ordering::Relaxed), 2);
 }
 
 #[test]
@@ -228,22 +231,21 @@ fn abort_shutdown_fails_undispatched_requests() {
 }
 
 #[test]
-fn batcher_flushes_a_single_straggler_at_max_wait() {
+fn a_lone_request_runs_at_once_as_a_batch_of_one() {
     let (server, _) = echo_server(
         ServeConfig::default()
             .queue_capacity(8)
             .workers(1)
-            .max_batch(8)
-            .max_wait_us(200),
+            .max_batch(8),
         Duration::ZERO,
         None,
     );
-    // One lone request: no batch-mates will ever arrive, so completion
-    // proves the straggler timer flushed an undersized batch.
+    // Nothing queues behind the request: the worker runs it alone
+    // instead of waiting for batch-mates.
     let ticket = server.submit("echo", CaseInput::new(7)).unwrap();
     let response = ticket
         .wait_timeout(Duration::from_secs(5))
-        .expect("straggler must flush at max_wait, not hang");
+        .expect("a lone request must run, not wait for batch-mates");
     assert_eq!(response.unwrap().metric("case"), Some(7.0));
     let snapshot = server.metrics_snapshot();
     assert_eq!(snapshot.batch_size.count, 1);
@@ -357,23 +359,26 @@ fn traced_request_lands_in_the_submitters_profiler() {
 
 #[test]
 fn tracing_does_not_change_what_a_batch_executes() {
-    // One worker holds the first request up to 5 s for stragglers, so
-    // the four submissions coalesce into one batch, traced or not.
+    // The one worker is parked behind an untraced gate request while the
+    // four submissions queue, so they run as one batch, traced or not.
     let run = |profiler: Option<&Profiler>| {
-        let config = ServeConfig::default()
-            .workers(1)
-            .max_batch(4)
-            .max_wait_us(5_000_000);
-        let server = Server::builder(config)
+        let gate = Gate::default();
+        let server = gate
+            .register(Server::builder(
+                ServeConfig::default().workers(1).max_batch(4),
+            ))
             .register("lnn", || Box::new(Lnn::new(LnnConfig::small())))
             .start()
             .unwrap();
+        let parked = gate.park(&server, 1);
         let tickets: Vec<_> = {
             let _active = profiler.map(Profiler::activate);
             (0..4)
                 .map(|case| server.submit("lnn", CaseInput::new(case)).unwrap())
                 .collect()
         };
+        gate.open();
+        assert!(parked[0].wait().is_ok());
         let outputs: Vec<_> = tickets.iter().map(|t| t.wait().unwrap()).collect();
         server.shutdown(ShutdownMode::Drain);
         let m = server.metrics_snapshot();
@@ -391,7 +396,11 @@ fn tracing_does_not_change_what_a_batch_executes() {
     let untraced = run(None);
     let profiler = Profiler::new();
     let traced = run(Some(&profiler));
-    assert_eq!((traced.2.count, traced.2.max), (1, 4), "one batch of 4");
+    assert_eq!(
+        (traced.2.count, traced.2.max),
+        (2, 4),
+        "the gate's batch of 1, then one batch of 4"
+    );
     assert_eq!(traced, untraced);
     // The trace is that of one `run_batch` over all four cases, the call
     // untraced traffic makes — not of four `run_case` calls.
