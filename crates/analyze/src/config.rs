@@ -124,6 +124,15 @@ impl Config {
         self.rules.get(name).cloned().unwrap_or_default()
     }
 
+    /// Does `path` lie in an exempt tree — under a directory named in
+    /// `exclude-dirs`? The rule catalog skips such files; `dead-pub`
+    /// reads them as call sites only.
+    pub(crate) fn exempt(&self, path: &str) -> bool {
+        let mut dirs = path.split('/');
+        dirs.next_back(); // the file name
+        dirs.any(|dir| self.exclude_dirs.iter().any(|d| d == dir))
+    }
+
     /// Parse `lint.toml` source text.
     pub fn parse(source: &str) -> Result<Config, ConfigError> {
         let mut config = Config::default();

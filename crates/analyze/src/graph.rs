@@ -48,6 +48,10 @@ pub struct CallGraph {
     pub items: Vec<Item>,
     /// `calls[i]` are the call sites inside `items[i]`, in line order.
     pub calls: Vec<Vec<CallSite>>,
+    /// Item indices by bare name.
+    by_name: BTreeMap<String, Vec<usize>>,
+    /// Item indices by `Type::name`, for impl methods.
+    by_qual: BTreeMap<String, Vec<usize>>,
 }
 
 impl CallGraph {
@@ -55,17 +59,23 @@ impl CallGraph {
     /// (file, line) order and targets are sorted item indices.
     pub fn build(ctxs: &[FileCtx]) -> CallGraph {
         let items = items::collect_items(ctxs);
-        let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        let mut by_qual: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+        let mut by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+        let mut by_qual: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         for (idx, item) in items.iter().enumerate() {
-            by_name.entry(&item.name).or_default().push(idx);
+            by_name.entry(item.name.clone()).or_default().push(idx);
             if item.qual != item.name {
-                by_qual.entry(&item.qual).or_default().push(idx);
+                by_qual.entry(item.qual.clone()).or_default().push(idx);
             }
         }
+        let mut graph = CallGraph {
+            items,
+            calls: Vec::new(),
+            by_name,
+            by_qual,
+        };
 
-        let mut calls = Vec::with_capacity(items.len());
-        for (item_idx, item) in items.iter().enumerate() {
+        let mut calls = Vec::with_capacity(graph.items.len());
+        for (item_idx, item) in graph.items.iter().enumerate() {
             let ctx = &ctxs[item.file];
             let mut sites = Vec::new();
             let (start, end) = item.body;
@@ -76,7 +86,7 @@ impl CallGraph {
                     if line_idx == start && call.name() == item.name {
                         continue;
                     }
-                    let mut targets = resolve(&call, item.krate(), &by_name, &by_qual, &items);
+                    let mut targets = graph.resolve(&call, item.krate());
                     // An item is never its own callee unless the source
                     // really recurses by bare name; drop self-loops from
                     // method-name over-approximation.
@@ -92,7 +102,50 @@ impl CallGraph {
             }
             calls.push(sites);
         }
-        CallGraph { items, calls }
+        graph.calls = calls;
+        graph
+    }
+
+    /// Item indices named `name`, in table order.
+    pub(crate) fn named(&self, name: &str) -> &[usize] {
+        self.by_name.get(name).map_or(&[], Vec::as_slice)
+    }
+
+    /// The items a callee reference made from `caller_crate` may target,
+    /// by the rules in the module docs; empty means unresolved.
+    pub(crate) fn resolve(&self, call: &CallRef, caller_crate: &str) -> Vec<usize> {
+        let items = &self.items;
+        let same_crate = |name: &str| -> Vec<usize> {
+            self.named(name)
+                .iter()
+                .copied()
+                .filter(|&i| items[i].krate() == caller_crate)
+                .collect()
+        };
+        match call {
+            CallRef::Plain(name) | CallRef::Method(name) => same_crate(name),
+            CallRef::Path(prefix, name) => {
+                if let Some(hits) = self.by_qual.get(&format!("{prefix}::{name}")) {
+                    return hits.clone();
+                }
+                let by_module: Vec<usize> = self
+                    .named(name)
+                    .iter()
+                    .copied()
+                    .filter(|&i| {
+                        items[i].module == *prefix
+                            || items[i].module.ends_with(&format!("::{prefix}"))
+                    })
+                    .collect();
+                if !by_module.is_empty() {
+                    return by_module;
+                }
+                if matches!(prefix.as_str(), "Self" | "self" | "crate" | "super") {
+                    return same_crate(name);
+                }
+                Vec::new()
+            }
+        }
     }
 
     /// Total `(resolved, unresolved)` call-site counts, for fixture
@@ -133,7 +186,8 @@ pub enum CallRef {
 }
 
 impl CallRef {
-    fn name(&self) -> &str {
+    /// The referenced function's bare name.
+    pub(crate) fn name(&self) -> &str {
         match self {
             CallRef::Plain(n) | CallRef::Method(n) | CallRef::Path(_, n) => n,
         }
@@ -144,47 +198,6 @@ impl CallRef {
             CallRef::Plain(n) => n.clone(),
             CallRef::Method(n) => format!(".{n}"),
             CallRef::Path(p, n) => format!("{p}::{n}"),
-        }
-    }
-}
-
-fn resolve(
-    call: &CallRef,
-    caller_crate: &str,
-    by_name: &BTreeMap<&str, Vec<usize>>,
-    by_qual: &BTreeMap<&str, Vec<usize>>,
-    items: &[Item],
-) -> Vec<usize> {
-    let same_crate = |idxs: Option<&Vec<usize>>| -> Vec<usize> {
-        idxs.into_iter()
-            .flatten()
-            .copied()
-            .filter(|&i| items[i].krate() == caller_crate)
-            .collect()
-    };
-    match call {
-        CallRef::Plain(name) | CallRef::Method(name) => same_crate(by_name.get(name.as_str())),
-        CallRef::Path(prefix, name) => {
-            let qual = format!("{prefix}::{name}");
-            if let Some(hits) = by_qual.get(qual.as_str()) {
-                return hits.clone();
-            }
-            let by_module: Vec<usize> = by_name
-                .get(name.as_str())
-                .into_iter()
-                .flatten()
-                .copied()
-                .filter(|&i| {
-                    items[i].module == *prefix || items[i].module.ends_with(&format!("::{prefix}"))
-                })
-                .collect();
-            if !by_module.is_empty() {
-                return by_module;
-            }
-            if matches!(prefix.as_str(), "Self" | "self" | "crate" | "super") {
-                return same_crate(by_name.get(name.as_str()));
-            }
-            Vec::new()
         }
     }
 }

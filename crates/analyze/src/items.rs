@@ -91,6 +91,10 @@ pub struct Item {
     pub module: String,
     /// Inclusive 0-based line range covering the declaration and body.
     pub body: (usize, usize),
+    /// Declared plain `pub` (not `pub(crate)` or private).
+    pub public: bool,
+    /// Declared inside an `impl Trait for Type` block.
+    pub trait_impl: bool,
 }
 
 impl Item {
@@ -128,37 +132,38 @@ impl Item {
 pub fn collect_items(ctxs: &[FileCtx]) -> Vec<Item> {
     let mut items = Vec::new();
     for (file_idx, ctx) in ctxs.iter().enumerate() {
-        // Stack of enclosing `impl` blocks: (close depth, type name).
-        let mut impls: Vec<(usize, String)> = Vec::new();
+        // Stack of enclosing `impl` blocks: (close depth, type name,
+        // trait impl?).
+        let mut impls: Vec<(usize, String, bool)> = Vec::new();
         for idx in 0..ctx.lines.len() {
             let line = &ctx.lines[idx];
-            while let Some(&(close, _)) = impls.last() {
+            while let Some(&(close, ..)) = impls.last() {
                 if line.depth_start <= close {
                     impls.pop();
                 } else {
                     break;
                 }
             }
-            if let Some(ty) = impl_header(ctx, idx) {
+            if let Some((ty, of_trait)) = impl_header(ctx, idx) {
                 // A single-line `impl … {}` opens and closes immediately;
                 // only push blocks that stay open past this line.
                 if line.depth_end > line.depth_start {
-                    impls.push((line.depth_start, ty));
+                    impls.push((line.depth_start, ty, of_trait));
                 }
                 continue;
             }
             if line.in_test {
                 continue;
             }
-            let Some((name, _)) = fn_decl(&line.code) else {
+            let Some((name, public)) = fn_decl(&line.code) else {
                 continue;
             };
             let Some(body) = body_range(&ctx.lines, idx) else {
                 continue; // bodyless trait signature
             };
-            let qual = match impls.last() {
-                Some((_, ty)) => format!("{ty}::{name}"),
-                None => name.clone(),
+            let (qual, trait_impl) = match impls.last() {
+                Some((_, ty, of_trait)) => (format!("{ty}::{name}"), *of_trait),
+                None => (name.clone(), false),
             };
             items.push(Item {
                 file: file_idx,
@@ -167,6 +172,8 @@ pub fn collect_items(ctxs: &[FileCtx]) -> Vec<Item> {
                 qual,
                 module: ctx.module.clone(),
                 body,
+                public,
+                trait_impl,
             });
         }
     }
@@ -174,9 +181,10 @@ pub fn collect_items(ctxs: &[FileCtx]) -> Vec<Item> {
 }
 
 /// If line `idx` starts an `impl` block, return the implemented type's
-/// last path segment (`impl fmt::Display for ServeError` → `ServeError`).
-/// Headers may span a few lines before their `{`.
-fn impl_header(ctx: &FileCtx, idx: usize) -> Option<String> {
+/// last path segment (`impl fmt::Display for ServeError` → `ServeError`)
+/// and whether it implements a trait. Headers may span a few lines
+/// before their `{`.
+fn impl_header(ctx: &FileCtx, idx: usize) -> Option<(String, bool)> {
     let code = &ctx.lines[idx].code;
     let at = lexer::find_word(code, "impl")?;
     // Only qualifiers may precede `impl` on the header line (this
@@ -200,9 +208,10 @@ fn impl_header(ctx: &FileCtx, idx: usize) -> Option<String> {
     parse_impl_type(after)
 }
 
-/// Parse the implemented type's name out of an `impl` header tail:
-/// `<T: ?Sized> Deref for MutexGuard<'_, T> {` → `MutexGuard`.
-fn parse_impl_type(text: &str) -> Option<String> {
+/// Parse the implemented type's name out of an `impl` header tail, and
+/// whether a trait is implemented:
+/// `<T: ?Sized> Deref for MutexGuard<'_, T> {` → `(MutexGuard, true)`.
+fn parse_impl_type(text: &str) -> Option<(String, bool)> {
     let mut rest = text.trim_start();
     if rest.starts_with('<') {
         let mut depth = 0i32;
@@ -222,7 +231,8 @@ fn parse_impl_type(text: &str) -> Option<String> {
         }
         rest = rest[end.min(rest.len())..].trim_start();
     }
-    let rest = match lexer::find_word(rest, "for") {
+    let for_at = lexer::find_word(rest, "for");
+    let rest = match for_at {
         Some(at) => rest[at + 3..].trim_start(),
         None => rest,
     };
@@ -236,7 +246,7 @@ fn parse_impl_type(text: &str) -> Option<String> {
         .unwrap_or("")
         .trim_end_matches(':')
         .to_string();
-    (!name.is_empty()).then_some(name)
+    (!name.is_empty()).then_some((name, for_at.is_some()))
 }
 
 /// Extract `(name, is_pub)` from a `fn` declaration line. `pub(crate)`

@@ -10,9 +10,15 @@
 //! two detectors speak the same edge language and a fixture test can
 //! assert the static graph is a superset of any observed runtime graph.
 //!
-//! Pass 2 over-approximates *held-across* relationships: a guard is
-//! assumed held from its acquisition to the end of the function unless
-//! an explicit `drop(guard)` releases it earlier. While held, every
+//! Pass 2 over-approximates *held-across* relationships: a guard bound
+//! with `let` is assumed held from its acquisition to the end of the
+//! function unless an explicit `drop(guard)` releases it earlier. A
+//! temporary guard — borrowed by a method call or field access
+//! (`x.lock().take()`) or a deref (`*x.lock()`) — ends with its
+//! statement as Rust drops it: at the `;`, or at the end of the
+//! `if let` / `match` / loop whose header holds it (the edition 2021
+//! rule), unless a `let` may extend it (`&…`) or it sits in a block's
+//! tail expression; those stay held to the end. While held, every
 //! later acquisition adds a direct edge, and every call site adds edges
 //! to the callee's transitive acquisition set (a fixed point over the
 //! conservative call graph). Cycles in the resulting global order graph
@@ -45,11 +51,11 @@ struct Acquisition {
     line_idx: usize,
     /// `{module}::{field}` static identity.
     lock: String,
-    /// The `let` binding holding the guard, when there is one; a `None`
-    /// guard (temporary or pattern-bound) is conservatively assumed
-    /// held to the end of the function.
+    /// The `let` binding holding the guard, when there is one.
     guard: Option<String>,
-    /// Line of the `drop(guard)` releasing this guard, if any.
+    /// First line the guard is no longer held on — after its `drop`, or
+    /// after the statement ending a temporary; `None` holds it to the
+    /// end of the function.
     dropped_at: Option<usize>,
 }
 
@@ -81,11 +87,16 @@ fn acquisitions(ctx: &FileCtx, body: (usize, usize)) -> Vec<Acquisition> {
                     None => None,
                 };
                 let Some(field) = field else { continue };
+                let (guard, dropped_at) = if temporary(code, at, token) {
+                    (None, statement_end(ctx, body, line_idx, at).map(|e| e + 1))
+                } else {
+                    (guard_binding(code, at), None)
+                };
                 acqs.push(Acquisition {
                     line_idx,
                     lock: format!("{}::{}", ctx.module, field),
-                    guard: guard_binding(code, at),
-                    dropped_at: None,
+                    guard,
+                    dropped_at,
                 });
             }
         }
@@ -158,6 +169,142 @@ fn guard_binding(code: &str, acquire_at: usize) -> Option<String> {
         return None;
     }
     Some(name)
+}
+
+/// Is the guard acquired by `token` at byte `at` a temporary: borrowed
+/// by a method call or field access, or dereferenced, rather than moved
+/// into a binding or a callee? `.unwrap()` and kin are excluded: on a
+/// `std` lock result they yield the guard by value.
+fn temporary(code: &str, at: usize, token: &str) -> bool {
+    if let Some(rest) = code[at + token.len()..].strip_prefix('.') {
+        let next: String = rest
+            .chars()
+            .take_while(|c| c.is_alphanumeric() || *c == '_')
+            .collect();
+        return !next.is_empty()
+            && !matches!(next.as_str(), "unwrap" | "expect" | "unwrap_or_else" | "ok");
+    }
+    code[..receiver_start(code, at)].trim_end().ends_with('*')
+}
+
+/// Byte offset where the receiver chain ending at `at` starts:
+/// `&mut *self.shared.conns` → the `s` of `self`; `registry()` → `r`.
+fn receiver_start(code: &str, at: usize) -> usize {
+    let b = code.as_bytes();
+    let mut i = at;
+    while i > 0 {
+        match b[i - 1] {
+            c if c.is_ascii_alphanumeric() || c == b'_' || c == b'.' || c == b':' => i -= 1,
+            b')' => {
+                // Skip a call's argument list back to its `(`.
+                let mut depth = 0;
+                while i > 0 {
+                    i -= 1;
+                    match b[i] {
+                        b')' => depth += 1,
+                        b'(' => {
+                            depth -= 1;
+                            if depth == 0 {
+                                break;
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            _ => break,
+        }
+    }
+    i
+}
+
+/// The line on which the statement holding a temporary acquired at
+/// `(line_idx, at)` ends: its `;`, or for an `if` / `match` / loop header
+/// the line closing the block (and any `else` chain). `None` when the
+/// temporary may live longer: a `let` initializer that may extend it
+/// (`&` outside a call's arguments), or a block's tail expression.
+fn statement_end(ctx: &FileCtx, body: (usize, usize), line_idx: usize, at: usize) -> Option<usize> {
+    let lines = &ctx.lines[..=body.1.min(ctx.lines.len() - 1)];
+    // The statement's head: code since the last `;`, `{` or `}`.
+    let mut prefix = lines[body.0..line_idx]
+        .iter()
+        .map(|l| l.code.as_str())
+        .collect::<Vec<_>>()
+        .join("\n");
+    prefix.push('\n');
+    prefix.push_str(&lines[line_idx].code[..at]);
+    let head = prefix[prefix.rfind([';', '{', '}']).map_or(0, |i| i + 1)..].trim_start();
+    let header = ["if ", "while ", "match ", "for ", "else "]
+        .iter()
+        .any(|kw| head.starts_with(kw));
+    if head.starts_with("let ") && extends(head) {
+        return None;
+    }
+
+    let before = &lines[line_idx].code[..at];
+    let base = (lines[line_idx].depth_start + before.matches('{').count())
+        .saturating_sub(before.matches('}').count());
+    let (mut depth, mut parens, mut opened) = (base, 0i32, false);
+    for (idx, line) in lines.iter().enumerate().skip(line_idx) {
+        let from = if idx == line_idx { at } else { 0 };
+        for (pos, c) in line.code[from..].char_indices() {
+            match c {
+                '{' => {
+                    depth += 1;
+                    opened = true;
+                }
+                '}' if depth == base => return None, // tail expression
+                '}' => {
+                    depth -= 1;
+                    let rest = line.code[from + pos + 1..].trim_start();
+                    let next = lines[idx + 1..]
+                        .iter()
+                        .map(|l| l.code.trim_start())
+                        .find(|c| !c.is_empty());
+                    let chained = rest.starts_with("else")
+                        || (rest.is_empty() && next.is_some_and(|n| n.starts_with("else")));
+                    if header && opened && depth == base && !chained {
+                        return Some(idx);
+                    }
+                }
+                '(' | '[' => parens += 1,
+                ')' | ']' => parens -= 1,
+                ';' if !header && depth == base && parens <= 0 => return Some(idx),
+                _ => {}
+            }
+        }
+    }
+    None
+}
+
+/// May the `let` statement `head` (up to an acquisition) extend the
+/// temporary's lifetime? Only a `&` can, and not from inside a call's
+/// argument list, which is never an extending context.
+fn extends(head: &str) -> bool {
+    let Some(eq) = head.find('=') else {
+        return true;
+    };
+    let init = &head[eq + 1..];
+    if !init.contains('&') {
+        return false;
+    }
+    let mut open: Vec<usize> = Vec::new();
+    for (i, c) in init.char_indices() {
+        match c {
+            '(' | '[' | '{' => open.push(i),
+            ')' | ']' | '}' => {
+                open.pop();
+            }
+            _ => {}
+        }
+    }
+    let call = open.last().is_some_and(|&i| {
+        init[..i]
+            .trim_end()
+            .ends_with(|c: char| c.is_alphanumeric() || c == '_' || c == '>')
+            && init.as_bytes()[i] == b'('
+    });
+    !call
 }
 
 /// Is acquisition `acq` still held at `line_idx` (same line included —

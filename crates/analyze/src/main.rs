@@ -16,7 +16,7 @@
 //! Exit codes: `0` clean, `1` findings at deny severity (or any finding
 //! under `--deny-warnings`), `2` usage or configuration error.
 
-use nsai_analyze::{collect_sources, rules, Config, Finding, Severity};
+use nsai_analyze::{collect_callers, collect_sources, rules, Config, Finding, Severity};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -153,8 +153,12 @@ fn main() -> ExitCode {
         }
     };
 
-    let files = match collect_sources(&args.root, &config) {
-        Ok(files) => files,
+    // `files` counts the scanned set; the exempt trees ride along as
+    // `dead-pub` call sites only.
+    let (files, callers) = match collect_sources(&args.root, &config)
+        .and_then(|files| Ok((files, collect_callers(&args.root, &config)?)))
+    {
+        Ok(walked) => walked,
         Err(e) => {
             eprintln!("error: walking {}: {e}", args.root.display());
             return ExitCode::from(2);
@@ -164,7 +168,7 @@ fn main() -> ExitCode {
     // The full set (waived included) feeds the JSON report; only
     // unwaived findings print in text form or count toward the exit
     // code.
-    let all = rules::analyze_all(&files, &config);
+    let all = rules::analyze_all(&[files.as_slice(), callers.as_slice()].concat(), &config);
     let findings: Vec<&Finding> = all.iter().filter(|f| !f.waived).collect();
     let denied = findings
         .iter()

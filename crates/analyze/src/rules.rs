@@ -15,11 +15,15 @@
 //! | `hot-path-no-alloc`     | no heap allocation reachable from hot entries      |
 //! | `hot-path-no-block`     | nothing reachable from hot entries parks a thread  |
 //! | `static-lock-order`     | the static lock acquisition-order graph is acyclic |
+//! | `dead-pub`              | every plain `pub fn` is named outside its tests    |
 //!
-//! The first seven are per-line/per-file checks over the lexed stream;
-//! the last four (`panic-reachability` and below) run over the
-//! workspace call graph built in [`crate::graph`], with entry points
-//! configured per rule in `lint.toml`.
+//! `unsafe-audit`, `pool-only-parallelism`, `determinism`,
+//! `scope-coverage`, `failpoint-hygiene` and `perf-suite-coverage` are
+//! per-line/per-file checks over the lexed stream; the rest run over
+//! the workspace call graph built in [`crate::graph`] — the
+//! reachability rules from entry points configured per rule in
+//! `lint.toml`. Files under exempt trees (`exclude-dirs`) are seen only
+//! by `dead-pub`, as call sites.
 //!
 //! Any rule can be waived inline with
 //! `// nsai-lint: allow(<rule>): <justification>` — the justification is
@@ -33,7 +37,7 @@ use crate::config::{Config, RuleConfig, Severity};
 use crate::graph::CallGraph;
 use crate::items::{fn_decl, FileCtx};
 use crate::lexer::{self, Line};
-use crate::{lockorder, reach};
+use crate::{deadpub, lockorder, reach};
 use std::collections::BTreeSet;
 
 /// One rule violation.
@@ -77,6 +81,7 @@ pub const RULES: &[&str] = &[
     "hot-path-no-alloc",
     "hot-path-no-block",
     "static-lock-order",
+    "dead-pub",
 ];
 
 /// Analyze a set of scanned files, returning only the findings that
@@ -92,12 +97,14 @@ pub fn analyze(files: &[(String, String)], config: &Config) -> Vec<Finding> {
 /// Like [`analyze`] but keeps waived findings (marked `waived = true`).
 /// Two passes: pass 1 prepares every file ([`FileCtx`]) and builds the
 /// workspace call graph; pass 2 runs the per-file rules and the
-/// interprocedural rules over them.
+/// interprocedural rules over them. Files under exempt trees (a
+/// directory named in `exclude-dirs`) are read only as `dead-pub` call
+/// sites.
 pub fn analyze_all(files: &[(String, String)], config: &Config) -> Vec<Finding> {
-    let ctxs: Vec<FileCtx> = files
+    let (ctxs, callers): (Vec<FileCtx>, Vec<FileCtx>) = files
         .iter()
         .map(|(path, source)| FileCtx::build(path, source))
-        .collect();
+        .partition(|ctx| !config.exempt(&ctx.path));
     let graph = CallGraph::build(&ctxs);
 
     let mut findings = Vec::new();
@@ -117,6 +124,7 @@ pub fn analyze_all(files: &[(String, String)], config: &Config) -> Vec<Finding> 
     reach::check_hot_path_no_block(&graph, &ctxs, config, &mut findings);
     reach::check_panic_reachability(&graph, &ctxs, config, &mut findings);
     lockorder::check(&graph, &ctxs, config, &mut findings);
+    deadpub::check(&graph, &ctxs, &callers, config, &mut findings);
     check_stale_waivers(&ctxs, &mut findings);
 
     findings.sort_by(|a, b| (&a.path, a.line, &a.rule).cmp(&(&b.path, b.line, &b.rule)));

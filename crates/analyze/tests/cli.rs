@@ -186,6 +186,27 @@ fn text_findings_match_the_ci_problem_matcher() {
     );
 }
 
+#[test]
+fn dead_pub_fn_exits_one_and_matches_the_ci_problem_matcher() {
+    let tree = TempTree::new("dead-pub");
+    tree.write(
+        "lint.toml",
+        "[rules.dead-pub]\npaths = [\"src/\"]\n",
+    )
+    .write(
+        "src/lib.rs",
+        "pub fn spare() -> u32 {\n    1\n}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        assert_eq!(super::spare(), 1);\n    }\n}\n",
+    );
+    let (code, out) = analyze(&tree, &[]);
+    assert_eq!(code, 1, "{out}");
+    let line = out
+        .lines()
+        .find(|l| l.contains("dead-pub"))
+        .expect("finding line");
+    assert!(line.starts_with("src/lib.rs:1: deny [dead-pub]"), "{line}");
+    assert!(regex_lite(line), "{line}");
+}
+
 /// Hand-rolled check equivalent to the problem-matcher regexp
 /// `^(.+):(\d+): (deny|warn) \[([a-z-]+)\] (.+)$` — the analyzer is
 /// dependency-free, so no regex crate.

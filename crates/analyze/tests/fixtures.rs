@@ -541,6 +541,172 @@ fn missing_perf_manifest_file_is_a_finding() {
     assert_eq!(findings[0].path, "bench/suite.rs");
 }
 
+// ------------------------------------------------------ static-lock-order
+
+#[test]
+fn temporary_guards_end_with_their_statement() {
+    // `ab` only borrows alpha's guard for one statement each time, so
+    // beta is never taken under it and `ba`'s beta → alpha order is no
+    // cycle.
+    let src = "fn ab(s: &S) {\n    let n = s.alpha.lock().len();\n    std::mem::take(&mut *s.alpha.lock());\n    let b = s.beta.lock();\n}\n\
+               fn ba(s: &S) {\n    let b = s.beta.lock();\n    let a = s.alpha.lock();\n}\n";
+    let findings = run(&Config::default(), &[("crates/s/src/m.rs", src)]);
+    assert!(findings.is_empty(), "unexpected: {findings:?}");
+}
+
+#[test]
+fn if_let_temporary_is_held_through_its_block() {
+    // Edition 2021 keeps an `if let` scrutinee's temporaries alive to
+    // the end of the `if let`, so beta is taken under alpha.
+    let src = "fn ab(s: &S) {\n    if let Some(x) = s.alpha.lock().take() {\n        s.beta.lock().push(x);\n    }\n}\n\
+               fn ba(s: &S) {\n    let b = s.beta.lock();\n    let a = s.alpha.lock();\n}\n";
+    let findings = run(&Config::default(), &[("crates/s/src/m.rs", src)]);
+    assert_eq!(rule_names(&findings), vec!["static-lock-order"]);
+}
+
+#[test]
+fn extended_or_moved_guards_stay_held() {
+    // `&*` in a `let` extends the guard to the end of the block, and a
+    // guard passed by value lives as long as its callee keeps it.
+    for held in [
+        "    let r = &*s.alpha.lock();\n",
+        "    let h = Holder::new(s.alpha.lock());\n",
+    ] {
+        let src = format!(
+            "fn ab(s: &S) {{\n{held}    let b = s.beta.lock();\n}}\n\
+             fn ba(s: &S) {{\n    let b = s.beta.lock();\n    let a = s.alpha.lock();\n}}\n"
+        );
+        let findings = run(&Config::default(), &[("crates/s/src/m.rs", &src)]);
+        assert_eq!(rule_names(&findings), vec!["static-lock-order"], "{held}");
+    }
+}
+
+// --------------------------------------------------------------- dead-pub
+
+fn dead_pub_config() -> Config {
+    Config::parse("[rules.dead-pub]\npaths = [\"crates/\"]\n").expect("config")
+}
+
+/// A library whose `used` has a caller given per test, and whose
+/// `helper` is called only from its own test module.
+const DEAD_LIB: &str = "pub fn used() {}\n\
+                        pub fn helper() {}\n\
+                        #[cfg(test)]\n\
+                        mod tests {\n    #[test]\n    fn t() {\n        super::helper();\n        super::used();\n    }\n}\n";
+
+#[test]
+fn pub_fn_called_only_from_its_own_tests_is_reported() {
+    let findings = run(
+        &dead_pub_config(),
+        &[
+            ("crates/lib/src/a.rs", DEAD_LIB),
+            ("crates/app/src/main.rs", "fn main() {\n    a::used();\n}\n"),
+        ],
+    );
+    assert_eq!(rule_names(&findings), vec!["dead-pub"]);
+    assert_eq!(findings[0].path, "crates/lib/src/a.rs");
+    assert_eq!(findings[0].line, 2);
+    assert!(
+        findings[0].message.contains("`pub fn helper`"),
+        "{findings:?}"
+    );
+}
+
+#[test]
+fn tests_examples_nsbench_and_doctests_are_callers() {
+    let callers = [
+        (
+            "crates/other/tests/it.rs",
+            "#[test]\nfn t() {\n    a::used();\n}\n",
+        ),
+        ("examples/demo.rs", "fn main() {\n    a::used();\n}\n"),
+        (
+            "nsbench/src/run.rs",
+            "pub fn drive() {\n    a::used();\n}\n",
+        ),
+        (
+            "crates/lib/src/lib.rs",
+            "//! ```\n//! # let x = 1;\n//! lib::a::used();\n//! ```\n",
+        ),
+    ];
+    for caller in callers {
+        let findings = run(
+            &dead_pub_config(),
+            &[("crates/lib/src/a.rs", "pub fn used() {}\n"), caller],
+        );
+        assert!(findings.is_empty(), "{}: {findings:?}", caller.0);
+    }
+}
+
+#[test]
+fn bare_paths_and_cross_crate_method_calls_are_callers() {
+    let lib = "pub struct Type;\nimpl Type {\n    pub fn f(x: u32) -> u32 { x }\n    pub fn g(&self) {}\n}\n";
+    let user = "pub fn run(xs: &[u32], t: &lib::Type) -> Vec<u32> {\n    t.g();\n    xs.iter().copied().map(Type::f).collect()\n}\n";
+    let findings = run(
+        &dead_pub_config(),
+        &[("crates/lib/src/a.rs", lib), ("crates/app/src/b.rs", user)],
+    );
+    assert_eq!(
+        rule_names(&findings),
+        vec!["dead-pub"],
+        "only `run` is uncalled: {findings:?}"
+    );
+    assert!(findings[0].message.contains("`pub fn run`"), "{findings:?}");
+}
+
+#[test]
+fn qualified_calls_credit_only_their_type() {
+    let lib = "impl Widget {\n    pub fn new() -> Self { Widget }\n}\nimpl Gadget {\n    pub fn new() -> Self { Gadget }\n}\n";
+    let user = "fn main() {\n    let w = Widget::new();\n    let v: Vec<u8> = Vec::new();\n}\n";
+    let findings = run(
+        &dead_pub_config(),
+        &[
+            ("crates/lib/src/a.rs", lib),
+            ("crates/app/src/main.rs", user),
+        ],
+    );
+    assert_eq!(rule_names(&findings), vec!["dead-pub"]);
+    assert!(findings[0].message.contains("Gadget::new"), "{findings:?}");
+}
+
+#[test]
+fn crate_visible_fns_trait_impls_and_main_are_never_findings() {
+    let src = "pub(crate) fn inner() {}\n\
+               impl fmt::Display for Widget {\n    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result { Ok(()) }\n}\n\
+               impl Iterator for Widget {\n    type Item = u8;\n    fn next(&mut self) -> Option<u8> { None }\n}\n\
+               pub fn main() {}\n";
+    let findings = run(&dead_pub_config(), &[("crates/lib/src/a.rs", src)]);
+    assert!(findings.is_empty(), "unexpected: {findings:?}");
+}
+
+#[test]
+fn dead_pub_is_inert_without_its_section() {
+    let findings = run(&Config::default(), &[("crates/lib/src/a.rs", DEAD_LIB)]);
+    assert!(findings.is_empty(), "unexpected: {findings:?}");
+}
+
+#[test]
+fn dead_pub_waivers_count_and_go_stale_when_a_caller_appears() {
+    let waived = "// nsai-lint: allow(dead-pub): public surface kept for the next measurement.\npub fn spare() {}\n";
+    let files = vec![("crates/lib/src/a.rs".to_string(), waived.to_string())];
+    let all = rules::analyze_all(&files, &dead_pub_config());
+    assert_eq!(all.len(), 1, "{all:?}");
+    assert!(all[0].waived && all[0].rule == "dead-pub", "{all:?}");
+
+    let findings = run(
+        &dead_pub_config(),
+        &[
+            ("crates/lib/src/a.rs", waived),
+            (
+                "crates/app/src/main.rs",
+                "fn main() {\n    a::spare();\n}\n",
+            ),
+        ],
+    );
+    assert_eq!(rule_names(&findings), vec!["stale-waiver"]);
+    assert_eq!(findings[0].line, 1);
+}
+
 // -------------------------------------------------------------- reporting
 
 #[test]

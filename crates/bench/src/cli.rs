@@ -37,11 +37,6 @@ impl Cli {
         }
     }
 
-    /// The usage line this parser reports with.
-    pub fn usage(&self) -> &'static str {
-        self.usage
-    }
-
     /// Next raw argument, if any.
     #[allow(clippy::should_implement_trait)]
     pub fn next_arg(&mut self) -> Option<String> {

@@ -123,16 +123,6 @@ impl CharacterizationSet {
     }
 }
 
-/// Render rows of `(label, value)` pairs as an aligned text table.
-pub fn render_kv_table(title: &str, rows: &[(String, String)]) -> String {
-    let width = rows.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
-    let mut out = format!("== {title} ==\n");
-    for (k, v) in rows {
-        out.push_str(&format!("  {k:<width$}  {v}\n"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,16 +135,5 @@ mod tests {
         assert!(report.event_count() > 0);
         assert_eq!(trace.len() as u64, report.event_count());
         assert!(output.metric("cycle_consistency").is_some());
-    }
-
-    #[test]
-    fn kv_table_alignment() {
-        let rows = vec![
-            ("a".to_string(), "1".to_string()),
-            ("longer".to_string(), "2".to_string()),
-        ];
-        let t = render_kv_table("t", &rows);
-        assert!(t.contains("== t =="));
-        assert!(t.contains("longer"));
     }
 }

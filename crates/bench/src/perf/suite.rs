@@ -19,7 +19,9 @@
 //!    matvec and GEMM, direct vs im2col convolution, NVSA at two
 //!    hypervector dims, and forward/backward chaining. These run at
 //!    width 1 like the workloads; the two levers that depend on pool
-//!    width (rule scoring and batched cleanup) run at every width.
+//!    width (rule scoring and batched cleanup) run at every width. The
+//!    VSA and logic levers run under the symbolic phase, as they would
+//!    inside a workload.
 //!    Work counters tell the two sides of a lever apart exactly, so a
 //!    ratio the docs quote cannot go stale without failing the gate.
 //!
@@ -43,7 +45,7 @@
 use super::report::{EntryKind, PerfEntry, PerfReport};
 use super::stats::WallStats;
 use nsai_core::counters::Counters;
-use nsai_core::profile::Profiler;
+use nsai_core::profile::{phase_scope, Profiler};
 use nsai_core::taxonomy::Phase;
 use nsai_data::logic_kb::{university_kb, UniversityConfig};
 use nsai_logic::{Atom, KnowledgeBase, Rule, Term};
@@ -197,6 +199,16 @@ type KernelSpec = (String, Box<dyn FnMut()>);
 
 fn spec(name: impl Into<String>, op: impl FnMut() + 'static) -> KernelSpec {
     (name.into(), Box::new(op))
+}
+
+/// A [`spec`] for a symbolic kernel: its work counts under `symbolic.*`
+/// rather than under the profiler's default phase, as it would inside a
+/// workload's symbolic stage.
+fn symbolic(name: impl Into<String>, mut op: impl FnMut() + 'static) -> KernelSpec {
+    spec(name, move || {
+        let _symbolic = phase_scope(Phase::Symbolic);
+        op();
+    })
 }
 
 /// One [`MicroBench`] per (kernel, width) pair, ids suffixed `/w<width>`.
@@ -493,10 +505,10 @@ fn ablation_specs(seed: u64) -> Vec<KernelSpec> {
     let a = Tensor::rand_uniform(&[1024], -1.0, 1.0, seed ^ 0x81);
     let b = Tensor::rand_uniform(&[1024], -1.0, 1.0, seed ^ 0x82);
     let (a2, b2) = (a.clone(), b.clone());
-    specs.push(spec("ablate/circconv/direct/d1024", move || {
+    specs.push(symbolic("ablate/circconv/direct/d1024", move || {
         a.circular_conv_direct(&b).expect("same length");
     }));
-    specs.push(spec("ablate/circconv/fft/d1024", move || {
+    specs.push(symbolic("ablate/circconv/fft/d1024", move || {
         a2.circular_conv_fft(&b2).expect("power of two");
     }));
 
@@ -506,10 +518,10 @@ fn ablation_specs(seed: u64) -> Vec<KernelSpec> {
     let noise = Hypervector::random(VsaModel::Bipolar, 2048, seed ^ 0x92);
     let query = Hypervector::bundle(&[cb.at(128).expect("in range"), &noise]).expect("compatible");
     let (cb2, query2) = (cb.clone(), query.clone());
-    specs.push(spec("ablate/cleanup/linear_scan/256x2048", move || {
+    specs.push(symbolic("ablate/cleanup/linear_scan/256x2048", move || {
         cb.cleanup(&query).expect("non-empty");
     }));
-    specs.push(spec("ablate/cleanup/early_exit/256x2048", move || {
+    specs.push(symbolic("ablate/cleanup/early_exit/256x2048", move || {
         cb2.cleanup_early_exit(&query2, 0.4).expect("non-empty");
     }));
 
@@ -522,15 +534,21 @@ fn ablation_specs(seed: u64) -> Vec<KernelSpec> {
     let total: f32 = (1..=64).map(|i| 1.0 / i as f32).sum();
     let full: Vec<f32> = (1..=64).map(|i| 1.0 / i as f32 / total).collect();
     let (cb2, cb3, one_hot2) = (cb.clone(), cb.clone(), one_hot.clone());
-    specs.push(spec("ablate/superpose/dense/64x4096_1hot", move || {
+    specs.push(symbolic("ablate/superpose/dense/64x4096_1hot", move || {
         superpose_dense(&cb, &one_hot);
     }));
-    specs.push(spec("ablate/superpose/sparse/64x4096_1hot", move || {
-        cb2.encode_pmf(&one_hot2).expect("matching length");
-    }));
-    specs.push(spec("ablate/superpose/sparse/64x4096_full", move || {
-        cb3.encode_pmf(&full).expect("matching length");
-    }));
+    specs.push(symbolic(
+        "ablate/superpose/sparse/64x4096_1hot",
+        move || {
+            cb2.encode_pmf(&one_hot2).expect("matching length");
+        },
+    ));
+    specs.push(symbolic(
+        "ablate/superpose/sparse/64x4096_full",
+        move || {
+            cb3.encode_pmf(&full).expect("matching length");
+        },
+    ));
 
     // Dense vs CSR at 95% zeros: matrix-vector and matrix-matrix.
     let dense = sparse_95(256, seed ^ 0xb1);
@@ -594,7 +612,7 @@ fn ablation_specs(seed: u64) -> Vec<KernelSpec> {
     // grows, backward proof of a provable and an unprovable goal.
     for departments in [1usize, 2, 4] {
         let kb = university(departments, seed ^ 0xe1);
-        specs.push(spec(
+        specs.push(symbolic(
             format!("ablate/forward_chain/closure/{departments}dept"),
             move || {
                 kb.forward_chain(4);
@@ -608,12 +626,18 @@ fn ablation_specs(seed: u64) -> Vec<KernelSpec> {
         vec![Term::constant("student0_0"), Term::var("P")],
     );
     let unprovable = Atom::prop2("taught_by", "prof0_0", "prof0_1");
-    specs.push(spec("ablate/backward_chain/provable/2dept", move || {
-        kb.backward_chain(&provable, 8).expect("within depth");
-    }));
-    specs.push(spec("ablate/backward_chain/unprovable/2dept", move || {
-        kb2.backward_chain(&unprovable, 8).expect("within depth");
-    }));
+    specs.push(symbolic(
+        "ablate/backward_chain/provable/2dept",
+        move || {
+            kb.backward_chain(&provable, 8).expect("within depth");
+        },
+    ));
+    specs.push(symbolic(
+        "ablate/backward_chain/unprovable/2dept",
+        move || {
+            kb2.backward_chain(&unprovable, 8).expect("within depth");
+        },
+    ));
 
     specs
 }
@@ -630,10 +654,10 @@ fn pool_ablation_specs(seed: u64) -> Vec<KernelSpec> {
         .map(|i| cb.at(i).expect("in range").clone())
         .collect();
     vec![
-        spec("ablate/parallel_rules/score/5x128", move || {
+        symbolic("ablate/parallel_rules/score/5x128", move || {
             par::map_chunks(tasks.len(), 1, |r| score_attribute(&tasks[r.start]));
         }),
-        spec("ablate/threads/cleanup_batch/16x64x1024", move || {
+        symbolic("ablate/threads/cleanup_batch/16x64x1024", move || {
             cb.cleanup_batch(&queries).expect("validated");
         }),
     ]

@@ -194,6 +194,31 @@ fn suite_covers_all_sections_with_expected_ids() {
         assert!(w1.counters.get("flops").unwrap() > 0);
         assert_eq!(w1.counters, w4.counters, "{lever}");
     }
+    // The VSA and logic levers count their work as symbolic, as inside
+    // a workload's symbolic stage.
+    let symbolic: Vec<&str> = report
+        .entries
+        .iter()
+        .map(|e| e.id.as_str())
+        .filter(|id| {
+            [
+                "ablate/circconv/",
+                "ablate/cleanup/",
+                "ablate/superpose/",
+                "ablate/parallel_rules/",
+                "ablate/threads/cleanup_batch/",
+                "ablate/forward_chain/",
+                "ablate/backward_chain/",
+            ]
+            .iter()
+            .any(|family| id.starts_with(family))
+        })
+        .collect();
+    assert_eq!(symbolic.len(), 16, "{symbolic:?}");
+    for id in symbolic {
+        assert_eq!(counter(id, "neural.events"), 0, "{id}");
+        assert!(counter(id, "symbolic.events") > 0, "{id}");
+    }
 }
 
 #[test]

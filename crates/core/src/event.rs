@@ -62,17 +62,6 @@ impl OpEvent {
             1.0 - self.output_nonzeros as f64 / self.output_elems as f64
         }
     }
-
-    /// Attained throughput in GFLOP/s for this invocation; `None` for
-    /// zero-duration events.
-    pub fn attained_gflops(&self) -> Option<f64> {
-        let secs = self.duration.as_secs_f64();
-        if secs <= 0.0 {
-            None
-        } else {
-            Some(self.flops as f64 / secs / 1e9)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -125,20 +114,6 @@ mod tests {
         e.output_elems = 0;
         e.output_nonzeros = 0;
         assert_eq!(e.output_sparsity(), 0.0);
-    }
-
-    #[test]
-    fn attained_gflops() {
-        let g = sample().attained_gflops().unwrap();
-        // 2e6 flops in 1e-4 s = 2e10 flop/s = 20 GFLOP/s.
-        assert!((g - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn attained_gflops_none_for_zero_duration() {
-        let mut e = sample();
-        e.duration = Duration::ZERO;
-        assert!(e.attained_gflops().is_none());
     }
 
     #[test]

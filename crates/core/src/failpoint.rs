@@ -112,14 +112,6 @@ pub struct FailSpec {
 }
 
 impl FailSpec {
-    /// A spec firing `action` on every hit.
-    pub fn always(action: FailAction) -> Self {
-        FailSpec {
-            action,
-            trigger: FailTrigger::Always,
-        }
-    }
-
     /// Parse one `action[@trigger]` spec.
     ///
     /// # Errors
@@ -365,26 +357,29 @@ pub fn fire(site: &str) -> bool {
 }
 
 /// Hit/fire counts for one site (`None` when the site is not armed).
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SiteStats {
+struct SiteStats {
     /// Times the site was evaluated while armed.
-    pub hits: u64,
+    hits: u64,
     /// Times the action actually applied.
-    pub fired: u64,
+    fired: u64,
 }
 
-/// Observability: counters for an armed site.
-pub fn site_stats(site: &str) -> Option<SiteStats> {
+/// Counters for an armed site.
+#[cfg(test)]
+fn site_stats(site: &str) -> Option<SiteStats> {
     registry().lock().get(site).map(|s| SiteStats {
         hits: s.hits,
         fired: s.fired,
     })
 }
 
-/// Observability: how many times any [`fire`]/[`eval`] call reached the
-/// armed slow path (registry lock). With nothing armed this never
-/// advances — the proof that disabled sites stay on the fast path.
-pub fn slow_path_entries() -> u64 {
+/// How many times any [`fire`]/[`eval`] call reached the armed slow
+/// path (registry lock). With nothing armed this never advances — the
+/// proof that disabled sites stay on the fast path.
+#[cfg(test)]
+fn slow_path_entries() -> u64 {
     SLOW_ENTRIES.load(Ordering::Relaxed)
 }
 
@@ -467,7 +462,10 @@ mod tests {
     fn parse_grammar_round_trips() {
         assert_eq!(
             FailSpec::parse("panic").unwrap(),
-            FailSpec::always(FailAction::Panic)
+            FailSpec {
+                action: FailAction::Panic,
+                trigger: FailTrigger::Always
+            }
         );
         assert_eq!(
             FailSpec::parse("return_err@1in3").unwrap(),

@@ -79,6 +79,6 @@ pub use error::CoreError;
 pub use event::OpEvent;
 pub use profile::Profiler;
 pub use report::Report;
-pub use roofline::{Bound, DeviceRoofline, RooflinePoint};
+pub use roofline::{Bound, DeviceRoofline};
 pub use sparsity::SparsityStats;
 pub use taxonomy::{NsCategory, OpCategory, Phase};

@@ -125,17 +125,6 @@ impl MemoryTracker {
             .map(|s| s.bytes)
             .sum()
     }
-
-    /// Fraction of persistent storage owned by `phase`, in `[0, 1]`.
-    /// Returns 0.0 when nothing is registered.
-    pub fn storage_fraction_for(&self, phase: Phase) -> f64 {
-        let total = self.storage_bytes_total();
-        if total == 0 {
-            0.0
-        } else {
-            self.storage_bytes_for(phase) as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -173,19 +162,13 @@ mod tests {
     }
 
     #[test]
-    fn storage_registration_and_fractions() {
+    fn storage_registration_by_phase() {
         let mut m = MemoryTracker::new();
         m.register_storage("weights", 900, Phase::Neural);
         m.register_storage("codebook", 100, Phase::Symbolic);
         assert_eq!(m.storage_bytes_total(), 1000);
         assert_eq!(m.storage_bytes_for(Phase::Neural), 900);
-        assert!((m.storage_fraction_for(Phase::Symbolic) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn storage_fraction_zero_when_empty() {
-        let m = MemoryTracker::new();
-        assert_eq!(m.storage_fraction_for(Phase::Neural), 0.0);
+        assert_eq!(m.storage_bytes_for(Phase::Symbolic), 100);
     }
 
     #[test]

@@ -101,42 +101,6 @@ impl DeviceRoofline {
     }
 }
 
-/// A point on the roofline plot: one operator (or aggregate of operators).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RooflinePoint {
-    /// Label, e.g. `"NVSA/symbolic"`.
-    pub label: String,
-    /// Operational intensity in FLOPs/byte.
-    pub intensity: f64,
-    /// Attained throughput in GFLOP/s (measured, not attainable).
-    pub attained_gflops: f64,
-}
-
-impl RooflinePoint {
-    /// Build a point from raw totals. Returns `None` if no bytes were moved
-    /// or no time elapsed (the point would be off-chart).
-    pub fn from_totals(
-        label: impl Into<String>,
-        flops: u64,
-        bytes: u64,
-        secs: f64,
-    ) -> Option<Self> {
-        if bytes == 0 || secs <= 0.0 {
-            return None;
-        }
-        Some(Self {
-            label: label.into(),
-            intensity: flops as f64 / bytes as f64,
-            attained_gflops: flops as f64 / secs / 1e9,
-        })
-    }
-
-    /// Classify this point against a device roofline.
-    pub fn bound_on(&self, device: &DeviceRoofline) -> Bound {
-        device.classify(self.intensity)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,28 +147,20 @@ mod tests {
     }
 
     #[test]
-    fn roofline_point_from_totals() {
-        let p = RooflinePoint::from_totals("x", 1_000_000, 1_000, 0.001).unwrap();
-        assert!((p.intensity - 1_000.0).abs() < 1e-9);
-        assert!((p.attained_gflops - 1.0).abs() < 1e-9);
-        assert!(RooflinePoint::from_totals("x", 1, 0, 1.0).is_none());
-        assert!(RooflinePoint::from_totals("x", 1, 1, 0.0).is_none());
-    }
-
-    #[test]
     fn typical_symbolic_op_is_memory_bound_on_gpu() {
         // Element-wise bundle over d=8192 f32: 8192 flops, 3*32 KiB moved.
         let d = rtx_like();
-        let p = RooflinePoint::from_totals("bundle", 8_192, 3 * 32_768, 1e-6).unwrap();
-        assert_eq!(p.bound_on(&d), Bound::Memory);
+        assert_eq!(d.classify(8_192.0 / (3.0 * 32_768.0)), Bound::Memory);
     }
 
     #[test]
     fn typical_gemm_is_compute_bound_on_gpu() {
         // 1024^3*2 flops over 3*1024^2*4 bytes => OI ~170 > ridge ~21.8.
         let d = rtx_like();
-        let n: u64 = 1024;
-        let p = RooflinePoint::from_totals("sgemm", 2 * n * n * n, 3 * n * n * 4, 1e-3).unwrap();
-        assert_eq!(p.bound_on(&d), Bound::Compute);
+        let n = 1024.0;
+        assert_eq!(
+            d.classify(2.0 * n * n * n / (3.0 * n * n * 4.0)),
+            Bound::Compute
+        );
     }
 }

@@ -159,14 +159,6 @@ pub enum Phase {
 impl Phase {
     /// Both phases, neural first (the order the paper's plots stack them).
     pub const ALL: [Phase; 2] = [Phase::Neural, Phase::Symbolic];
-
-    /// The other phase.
-    pub fn other(self) -> Phase {
-        match self {
-            Phase::Neural => Phase::Symbolic,
-            Phase::Symbolic => Phase::Neural,
-        }
-    }
 }
 
 impl fmt::Display for Phase {
@@ -202,13 +194,6 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for c in OpCategory::ALL {
             assert!(seen.insert(c.label()), "duplicate label {}", c);
-        }
-    }
-
-    #[test]
-    fn phase_other_is_involutive() {
-        for p in Phase::ALL {
-            assert_eq!(p.other().other(), p);
         }
     }
 

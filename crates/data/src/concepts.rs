@@ -215,21 +215,6 @@ impl ConceptGenerator {
             concept: Some(concept.clone()),
         }
     }
-
-    /// Generate a distractor scene of random unrelated primitives.
-    pub fn distractor(&mut self, n_primitives: usize) -> ConceptScene {
-        let placed: Vec<Placed> = (0..n_primitives)
-            .map(|_| {
-                let prim = Primitive::ALL[self.rng.gen_range(0..Primitive::ALL.len())];
-                self.place(prim)
-            })
-            .collect();
-        ConceptScene {
-            image: self.rasterize(&placed),
-            placed,
-            concept: None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -266,14 +251,6 @@ mod tests {
         let line = s.placed[1];
         assert!(line.row >= rect.row && line.col >= rect.col);
         assert!(line.col + line.extent <= rect.col + rect.extent + 1);
-    }
-
-    #[test]
-    fn distractors_have_no_concept_label() {
-        let mut g = ConceptGenerator::new(32, 3);
-        let d = g.distractor(3);
-        assert!(d.concept.is_none());
-        assert_eq!(d.placed.len(), 3);
     }
 
     #[test]

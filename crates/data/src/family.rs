@@ -100,23 +100,6 @@ impl FamilyGraph {
         }
         out
     }
-
-    /// Ground-truth `sibling` relation (shared parent, excluding self).
-    pub fn sibling_tensor(&self) -> Tensor {
-        let mut out = Tensor::zeros(&[self.n, self.n]);
-        for a in 0..self.n {
-            for b in 0..self.n {
-                if a == b {
-                    continue;
-                }
-                let shared = (0..self.n).any(|p| self.is_parent(p, a) && self.is_parent(p, b));
-                if shared {
-                    out.data_mut()[a * self.n + b] = 1.0;
-                }
-            }
-        }
-        out
-    }
 }
 
 /// A sorting-task instance: an array and its target permutation relation.
@@ -198,18 +181,6 @@ mod tests {
         for i in 0..15 * 15 {
             let expected = composed.data()[i] > 0.0;
             assert_eq!(gp.data()[i] > 0.0, expected, "mismatch at {i}");
-        }
-    }
-
-    #[test]
-    fn sibling_relation_is_symmetric_and_irreflexive() {
-        let f = FamilyGraph::generate(15, 4);
-        let s = f.sibling_tensor();
-        for a in 0..15 {
-            assert_eq!(s.data()[a * 15 + a], 0.0);
-            for b in 0..15 {
-                assert_eq!(s.data()[a * 15 + b], s.data()[b * 15 + a]);
-            }
         }
     }
 

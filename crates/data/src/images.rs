@@ -139,11 +139,6 @@ impl DomainGenerator {
         }
     }
 
-    /// Image resolution.
-    pub fn res(&self) -> usize {
-        self.res
-    }
-
     /// Sample a batch `[n, 1, res, res]` from a domain.
     pub fn sample(&mut self, domain: Domain, n: usize) -> Tensor {
         let res = self.res;

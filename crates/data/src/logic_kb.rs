@@ -27,42 +27,6 @@ pub enum FormulaTree {
     Implies(Box<FormulaTree>, Box<FormulaTree>),
 }
 
-impl FormulaTree {
-    /// Number of nodes in the tree.
-    pub fn size(&self) -> usize {
-        match self {
-            FormulaTree::Leaf(_) => 1,
-            FormulaTree::Not(a) => 1 + a.size(),
-            FormulaTree::And(a, b) | FormulaTree::Or(a, b) | FormulaTree::Implies(a, b) => {
-                1 + a.size() + b.size()
-            }
-        }
-    }
-
-    /// Tree depth (a leaf has depth 1).
-    pub fn depth(&self) -> usize {
-        match self {
-            FormulaTree::Leaf(_) => 1,
-            FormulaTree::Not(a) => 1 + a.depth(),
-            FormulaTree::And(a, b) | FormulaTree::Or(a, b) | FormulaTree::Implies(a, b) => {
-                1 + a.depth().max(b.depth())
-            }
-        }
-    }
-
-    /// Highest leaf index referenced (None for leafless trees — impossible
-    /// by construction).
-    pub fn max_leaf(&self) -> usize {
-        match self {
-            FormulaTree::Leaf(i) => *i,
-            FormulaTree::Not(a) => a.max_leaf(),
-            FormulaTree::And(a, b) | FormulaTree::Or(a, b) | FormulaTree::Implies(a, b) => {
-                a.max_leaf().max(b.max_leaf())
-            }
-        }
-    }
-}
-
 /// Generated LNN theory: formula trees over a shared set of propositions,
 /// with initial truth bounds for a subset of them.
 #[derive(Debug, Clone)]
@@ -204,13 +168,30 @@ pub fn university_kb(config: UniversityConfig, seed: u64) -> UniversityKb {
 mod tests {
     use super::*;
 
+    /// `(size, depth, highest leaf)` of a tree; a leaf has depth 1.
+    fn shape(f: &FormulaTree) -> (usize, usize, usize) {
+        match f {
+            FormulaTree::Leaf(i) => (1, 1, *i),
+            FormulaTree::Not(a) => {
+                let (size, depth, leaf) = shape(a);
+                (size + 1, depth + 1, leaf)
+            }
+            FormulaTree::And(a, b) | FormulaTree::Or(a, b) | FormulaTree::Implies(a, b) => {
+                let (sa, da, la) = shape(a);
+                let (sb, db, lb) = shape(b);
+                (1 + sa + sb, 1 + da.max(db), la.max(lb))
+            }
+        }
+    }
+
     #[test]
     fn theory_respects_requested_sizes() {
         let t = lnn_theory(10, 5, 4, 1);
         assert_eq!(t.formulas.len(), 5);
         for f in &t.formulas {
-            assert!(f.depth() <= 4);
-            assert!(f.max_leaf() < 10);
+            let (_, depth, leaf) = shape(f);
+            assert!(depth <= 4);
+            assert!(leaf < 10);
         }
         assert!(!t.observations.is_empty());
         for (p, v) in &t.observations {
@@ -224,7 +205,7 @@ mod tests {
         let shallow = lnn_theory(10, 20, 2, 2);
         let deep = lnn_theory(10, 20, 7, 2);
         let avg = |t: &LnnTheory| {
-            t.formulas.iter().map(FormulaTree::size).sum::<usize>() as f64 / t.formulas.len() as f64
+            t.formulas.iter().map(|f| shape(f).0).sum::<usize>() as f64 / t.formulas.len() as f64
         };
         assert!(avg(&deep) > avg(&shallow));
     }
@@ -260,16 +241,6 @@ mod tests {
         // Every student is advised.
         let advised = kb.binary.iter().filter(|(p, _, _)| p == "advises").count();
         assert_eq!(advised, 16);
-    }
-
-    #[test]
-    fn formula_size_and_depth_of_leaf() {
-        let leaf = FormulaTree::Leaf(0);
-        assert_eq!(leaf.size(), 1);
-        assert_eq!(leaf.depth(), 1);
-        let not = FormulaTree::Not(Box::new(leaf));
-        assert_eq!(not.size(), 2);
-        assert_eq!(not.depth(), 2);
     }
 
     #[test]

@@ -145,16 +145,6 @@ impl RpmProblem {
     pub fn solution(&self) -> Panel {
         self.matrix[self.matrix.len() - 1]
     }
-
-    /// Render every context panel at a given resolution.
-    pub fn render_context(&self, res: usize) -> Vec<Tensor> {
-        self.context().iter().map(|p| p.render(res)).collect()
-    }
-
-    /// Render every candidate panel.
-    pub fn render_candidates(&self, res: usize) -> Vec<Tensor> {
-        self.candidates.iter().map(|p| p.render(res)).collect()
-    }
 }
 
 /// Deterministic RPM problem generator.
@@ -416,13 +406,13 @@ mod tests {
     #[test]
     fn render_produces_nonempty_images() {
         let p = RpmGenerator::new(5).generate(2);
-        let imgs = p.render_context(32);
-        assert_eq!(imgs.len(), 3);
-        for img in &imgs {
+        assert_eq!(p.context().len(), 3);
+        assert_eq!(p.candidates.len(), 8);
+        for panel in p.context().iter().chain(&p.candidates) {
+            let img = panel.render(32);
             assert_eq!(img.dims(), &[1, 32, 32]);
             assert!(img.count_nonzero() > 0, "blank panel rendered");
         }
-        assert_eq!(p.render_candidates(32).len(), 8);
     }
 
     #[test]

@@ -79,29 +79,6 @@ impl BlobDataset {
     pub fn is_empty(&self) -> bool {
         self.labels.is_empty()
     }
-
-    /// Rows belonging to class `c` as an `[m, dim]` tensor.
-    pub fn class_rows(&self, c: usize) -> Tensor {
-        let indices: Vec<usize> = self
-            .labels
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| **l == c)
-            .map(|(i, _)| i)
-            .collect();
-        self.features
-            .gather_rows(&indices)
-            .expect("indices in range")
-    }
-
-    /// One-hot label matrix `[n, classes]`.
-    pub fn one_hot_labels(&self) -> Tensor {
-        let mut out = Tensor::zeros(&[self.len(), self.classes]);
-        for (r, &l) in self.labels.iter().enumerate() {
-            out.data_mut()[r * self.classes + l] = 1.0;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -119,23 +96,14 @@ mod tests {
     #[test]
     fn blobs_are_separated() {
         let d = BlobDataset::generate(2, 50, 2, 0.5, 2);
-        let a = d.class_rows(0);
-        let b = d.class_rows(1);
-        let mean_a: f32 = a.sum_axis(0).unwrap().data()[0] / 50.0;
-        let mean_b: f32 = b.sum_axis(0).unwrap().data()[0] / 50.0;
+        let mean = |c: usize| -> f32 {
+            let rows = d.labels.iter().enumerate().filter(|(_, &l)| l == c);
+            rows.map(|(r, _)| d.features.data()[r * 2]).sum::<f32>() / 50.0
+        };
+        let (mean_a, mean_b) = (mean(0), mean(1));
         // Classes 0 and 1 sit at +3 and −3 along axis 0.
         assert!(mean_a > 2.0, "mean_a {mean_a}");
         assert!(mean_b < -2.0, "mean_b {mean_b}");
-    }
-
-    #[test]
-    fn one_hot_rows_sum_to_one() {
-        let d = BlobDataset::generate(4, 5, 3, 0.3, 3);
-        let oh = d.one_hot_labels();
-        for r in 0..20 {
-            let s: f32 = oh.data()[r * 4..(r + 1) * 4].iter().sum();
-            assert_eq!(s, 1.0);
-        }
     }
 
     #[test]

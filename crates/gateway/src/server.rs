@@ -203,7 +203,6 @@ impl Gateway {
             // responder mid-drain.
             self.shared.server.shutdown(ShutdownMode::Abort);
         }
-        // nsai-lint: allow(static-lock-order): the acceptor→conns "cycle" exists only in the conservative graph — `.shutdown(` on TcpStream/ConnHandle name-collides with Gateway::shutdown, whose re-entry is a CAS-guarded no-op, and the acceptor guard above is a temporary released before conns is taken.
         let conns: Vec<ConnHandle> = std::mem::take(&mut *self.shared.conns.lock());
         for handle in &conns {
             handle.shutdown(match mode {

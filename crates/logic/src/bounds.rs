@@ -60,14 +60,6 @@ impl TruthBounds {
         }
     }
 
-    /// Known-false bounds `[0, 0]`.
-    pub fn proven_false() -> Self {
-        TruthBounds {
-            lower: 0.0,
-            upper: 0.0,
-        }
-    }
-
     /// Point bounds `[v, v]`.
     ///
     /// # Errors
@@ -92,18 +84,6 @@ impl TruthBounds {
     /// Interval width (1.0 = completely unknown, 0.0 = fully resolved).
     pub fn uncertainty(&self) -> f64 {
         self.upper - self.lower
-    }
-
-    /// Whether the bounds classify as true under threshold `alpha`
-    /// (LNN convention: `lower ≥ alpha`).
-    pub fn is_true(&self, alpha: f64) -> bool {
-        self.lower >= alpha
-    }
-
-    /// Whether the bounds classify as false under threshold `alpha`
-    /// (`upper ≤ 1 − alpha`).
-    pub fn is_false(&self, alpha: f64) -> bool {
-        self.upper <= 1.0 - alpha
     }
 
     /// Intersect with another interval, clamping to a contradiction-free
@@ -233,13 +213,15 @@ mod tests {
 
     #[test]
     fn classification_thresholds() {
+        // LNN classifies true at `lower ≥ alpha`, false at
+        // `upper ≤ 1 − alpha`.
         let t = TruthBounds::new(0.8, 1.0).unwrap();
-        assert!(t.is_true(0.7));
-        assert!(!t.is_true(0.9));
+        assert!(t.lower() >= 0.7);
+        assert!(t.lower() < 0.9);
         let f = TruthBounds::new(0.0, 0.2).unwrap();
-        assert!(f.is_false(0.7));
+        assert!(f.upper() <= 1.0 - 0.7);
         let u = TruthBounds::unknown();
-        assert!(!u.is_true(0.7) && !u.is_false(0.7));
+        assert!(u.lower() < 0.7 && u.upper() > 1.0 - 0.7);
         assert_eq!(u.uncertainty(), 1.0);
     }
 
@@ -258,9 +240,9 @@ mod tests {
     #[test]
     fn and_up_with_proven_children() {
         let t = TruthBounds::proven_true();
-        let f = TruthBounds::proven_false();
+        let f = TruthBounds::exactly(0.0).unwrap();
         assert_eq!(t.and_up(&t), TruthBounds::proven_true());
-        assert_eq!(t.and_up(&f), TruthBounds::proven_false());
+        assert_eq!(t.and_up(&f), TruthBounds::exactly(0.0).unwrap());
         // Unknown ∧ true = unknown.
         let u = TruthBounds::unknown();
         assert_eq!(u.and_up(&t), u);
@@ -269,8 +251,8 @@ mod tests {
     #[test]
     fn or_up_with_proven_children() {
         let t = TruthBounds::proven_true();
-        let f = TruthBounds::proven_false();
-        assert_eq!(f.or_up(&f), TruthBounds::proven_false());
+        let f = TruthBounds::exactly(0.0).unwrap();
+        assert_eq!(f.or_up(&f), TruthBounds::exactly(0.0).unwrap());
         assert_eq!(f.or_up(&t), TruthBounds::proven_true());
     }
 
@@ -324,7 +306,7 @@ mod tests {
     #[test]
     fn or_down_excludes_when_disjunction_false() {
         // a ∨ b proven false ⇒ a is false regardless of sibling.
-        let disj = TruthBounds::proven_false();
+        let disj = TruthBounds::exactly(0.0).unwrap();
         let a = TruthBounds::or_down(&disj, &TruthBounds::unknown());
         assert_eq!(a.upper(), 0.0);
     }

@@ -80,16 +80,6 @@ impl FuzzySemantics {
             }
         }
     }
-
-    /// Fold a conjunction over many truth values (1.0 for empty).
-    pub fn and_many(self, values: &[f64]) -> f64 {
-        values.iter().fold(1.0, |acc, v| self.t_norm(acc, *v))
-    }
-
-    /// Fold a disjunction over many truth values (0.0 for empty).
-    pub fn or_many(self, values: &[f64]) -> f64 {
-        values.iter().fold(0.0, |acc, v| self.t_conorm(acc, *v))
-    }
 }
 
 /// LTN's universal-quantifier aggregator: the generalized p-mean of the
@@ -210,15 +200,6 @@ mod tests {
         for s in SEMS {
             assert_eq!(s.implies(0.3, 0.7), 1.0, "{s:?}");
             assert_eq!(s.implies(0.0, 0.0), 1.0, "{s:?}");
-        }
-    }
-
-    #[test]
-    fn many_fold_identities() {
-        for s in SEMS {
-            assert_eq!(s.and_many(&[]), 1.0);
-            assert_eq!(s.or_many(&[]), 0.0);
-            assert!((s.and_many(&[0.9]) - 0.9).abs() < 1e-12);
         }
     }
 

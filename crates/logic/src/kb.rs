@@ -28,11 +28,6 @@ impl Rule {
         Rule { head, body }
     }
 
-    /// A fact is a rule with an empty body and ground head.
-    pub fn is_fact(&self) -> bool {
-        self.body.is_empty() && self.head.is_ground()
-    }
-
     /// Validate that every variable in the head appears in the body
     /// (range restriction), so forward chaining only derives ground atoms.
     ///
@@ -186,11 +181,6 @@ impl KnowledgeBase {
     /// Current rules.
     pub fn rules(&self) -> &[Rule] {
         &self.rules
-    }
-
-    /// Whether a ground atom is currently known.
-    pub fn holds(&self, atom: &Atom) -> bool {
-        self.facts.contains(atom)
     }
 
     /// Semi-naive bottom-up forward chaining to a fixpoint (or
@@ -418,7 +408,6 @@ mod tests {
         // Facts (empty body) are exempt.
         let fact = Rule::new(Atom::prop1("p", "a"), vec![]);
         assert!(fact.validate().is_ok());
-        assert!(fact.is_fact());
     }
 
     #[test]

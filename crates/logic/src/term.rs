@@ -127,11 +127,6 @@ impl Atom {
         }
     }
 
-    /// Nullary proposition, e.g. `raining`.
-    pub fn prop(predicate: impl Into<String>) -> Atom {
-        Atom::new(predicate, Vec::new())
-    }
-
     /// Unary ground atom over a constant, e.g. `mammal(dog)`.
     pub fn prop1(predicate: impl Into<String>, arg: impl Into<String>) -> Atom {
         Atom::new(predicate, vec![Term::constant(arg)])
@@ -268,7 +263,7 @@ mod tests {
     fn display_formats() {
         let a = Atom::new("p", vec![Term::var("X"), Term::constant("a")]);
         assert_eq!(a.to_string(), "p(X, a)");
-        assert_eq!(Atom::prop("raining").to_string(), "raining");
+        assert_eq!(Atom::new("raining", vec![]).to_string(), "raining");
         let c = Term::Compound("f".into(), vec![Term::constant("a")]);
         assert_eq!(c.to_string(), "f(a)");
     }

@@ -57,11 +57,6 @@ impl ConvBlock {
             pool,
         }
     }
-
-    /// The convolution hyperparameters.
-    pub fn conv_params(&self) -> Conv2dParams {
-        self.params
-    }
 }
 
 impl Layer for ConvBlock {

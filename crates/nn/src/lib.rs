@@ -35,8 +35,6 @@
 
 pub mod activation;
 pub mod conv_layer;
-pub mod conv_trainable;
-pub mod embedding;
 pub mod layer;
 pub mod linear;
 pub mod loss;

@@ -49,26 +49,6 @@ impl Linear {
             out_features,
         }
     }
-
-    /// Input feature count.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.out_features
-    }
-
-    /// Read-only weight access.
-    pub fn weight(&self) -> &Tensor {
-        &self.weight
-    }
-
-    /// Read-only bias access.
-    pub fn bias(&self) -> &Tensor {
-        &self.bias
-    }
 }
 
 impl Layer for Linear {
@@ -163,7 +143,7 @@ mod tests {
         );
 
         // Input gradient of sum(x·Wᵀ + b) w.r.t. x is the column sums of W.
-        let w = l.weight().clone();
+        let w = l.weight.clone();
         let expected0 = w.data()[0] + w.data()[2];
         assert!((grad_in.data()[0] - expected0).abs() < 1e-5);
     }

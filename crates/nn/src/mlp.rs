@@ -11,7 +11,6 @@ use nsai_tensor::Tensor;
 #[derive(Debug)]
 pub struct Mlp {
     net: Sequential,
-    layer_sizes: Vec<usize>,
 }
 
 impl Mlp {
@@ -46,15 +45,7 @@ impl Mlp {
                 net.push(Box::new(Activation::new(act)));
             }
         }
-        Mlp {
-            net,
-            layer_sizes: sizes.to_vec(),
-        }
-    }
-
-    /// Layer widths the MLP was built with.
-    pub fn layer_sizes(&self) -> &[usize] {
-        &self.layer_sizes
+        Mlp { net }
     }
 }
 
@@ -88,7 +79,6 @@ mod tests {
         let y = mlp.forward(&x);
         assert_eq!(y.dims(), &[3, 2]);
         assert_eq!(mlp.param_count(), 4 * 8 + 8 + 8 * 2 + 2);
-        assert_eq!(mlp.layer_sizes(), &[4, 8, 2]);
     }
 
     #[test]

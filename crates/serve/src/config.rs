@@ -17,7 +17,10 @@ use std::time::Duration;
 ///   through `nsai_tensor::par`, whose width is governed separately by
 ///   `NEUROSYM_THREADS`; nested submission degrades to serial there, so
 ///   `workers × NEUROSYM_THREADS` never oversubscribes by more than the
-///   pool width.
+///   pool width. Concurrent workers do not share the pool either: it
+///   runs one job at a time for the whole process, so a worker whose
+///   kernel finds the job slot taken waits until the other job ends and
+///   runs none of its chunks meanwhile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Maximum queued (admitted but not yet dispatched) requests. A

@@ -121,11 +121,6 @@ impl Ticket {
             let _ = self.shared.ready.wait_for(&mut slot, deadline - now);
         }
     }
-
-    /// Non-blocking poll.
-    pub fn try_get(&self) -> Option<Response> {
-        self.shared.slot.lock().clone()
-    }
 }
 
 /// A queued request, as the dispatch loop sees it.
@@ -161,11 +156,11 @@ mod tests {
     #[test]
     fn ticket_resolves_once_and_first_write_wins() {
         let (ticket, slot) = Ticket::new();
-        assert!(ticket.try_get().is_none());
+        assert!(ticket.wait_timeout(Duration::ZERO).is_none());
         slot.complete(Err(ServeError::Aborted));
         slot.complete(Err(ServeError::WorkerPanicked));
         assert_eq!(ticket.wait(), Err(ServeError::Aborted));
-        assert_eq!(ticket.try_get(), Some(Err(ServeError::Aborted)));
+        assert_eq!(ticket.wait(), Err(ServeError::Aborted));
     }
 
     #[test]

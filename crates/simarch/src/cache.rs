@@ -124,15 +124,6 @@ impl CacheStats {
             self.l2_hits as f64 / l1_misses as f64
         }
     }
-
-    /// Fraction of requests that reached DRAM.
-    pub fn dram_access_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.dram_accesses as f64 / self.accesses as f64
-        }
-    }
 }
 
 /// An L1 → L2 → DRAM hierarchy.
@@ -298,7 +289,7 @@ mod tests {
         }
         let s = h.stats();
         assert!(s.l1_hit_rate() < 0.1);
-        assert!(s.dram_access_rate() > 0.5);
+        assert!(2 * s.dram_accesses > s.accesses, "{s:?}");
     }
 
     #[test]
@@ -324,6 +315,5 @@ mod tests {
         let s = CacheStats::default();
         assert_eq!(s.l1_hit_rate(), 0.0);
         assert_eq!(s.l2_hit_rate(), 0.0);
-        assert_eq!(s.dram_access_rate(), 0.0);
     }
 }

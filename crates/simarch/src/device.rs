@@ -74,13 +74,6 @@ impl Device {
         })
     }
 
-    /// Intel Xeon Silver 4114 (10C/20T, AVX-512): ~700 GFLOP/s FP32,
-    /// 6-channel DDR4-2400 ≈ 115 GB/s.
-    pub fn xeon_4114() -> Device {
-        Device::new("Xeon-4114", 700.0, 115.0, 85.0, 2e-6, 0.70, 0.80)
-            .expect("preset parameters are valid")
-    }
-
     /// Nvidia RTX 2080 Ti: 13.45 TFLOP/s FP32, 616 GB/s GDDR6, 250 W.
     pub fn rtx_2080_ti() -> Device {
         Device::new("RTX-2080Ti", 13_450.0, 616.0, 250.0, 5e-6, 0.75, 0.85)
@@ -101,34 +94,9 @@ impl Device {
             .expect("preset parameters are valid")
     }
 
-    /// All four presets, in the paper's Fig. 2b order (edge → desktop).
-    pub fn presets() -> Vec<Device> {
-        vec![
-            Device::jetson_tx2(),
-            Device::xavier_nx(),
-            Device::rtx_2080_ti(),
-            Device::xeon_4114(),
-        ]
-    }
-
     /// Device name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Peak FP32 throughput in GFLOP/s.
-    pub fn peak_gflops(&self) -> f64 {
-        self.peak_gflops
-    }
-
-    /// Peak DRAM bandwidth in GB/s.
-    pub fn mem_bw_gbps(&self) -> f64 {
-        self.mem_bw_gbps
-    }
-
-    /// Thermal design power in watts (for energy estimates).
-    pub fn tdp_watts(&self) -> f64 {
-        self.tdp_watts
     }
 
     /// Per-kernel launch overhead in seconds.
@@ -178,8 +146,8 @@ mod tests {
         let rtx = Device::rtx_2080_ti();
         let tx2 = Device::jetson_tx2();
         let nx = Device::xavier_nx();
-        assert!(rtx.peak_gflops() > nx.peak_gflops());
-        assert!(nx.peak_gflops() > tx2.peak_gflops());
+        assert!(rtx.peak_gflops > nx.peak_gflops);
+        assert!(nx.peak_gflops > tx2.peak_gflops);
     }
 
     #[test]

@@ -43,21 +43,6 @@ impl MeshNoc {
         }
     }
 
-    /// A modern-accelerator-like mesh: 128 GB/s links, 1 ns hops.
-    pub fn accelerator_like(width: usize, height: usize) -> Self {
-        MeshNoc::new(width, height, 128.0, 1.0)
-    }
-
-    /// Mesh width.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Mesh height.
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
     /// Number of tiles.
     pub fn tiles(&self) -> usize {
         self.width * self.height
@@ -78,37 +63,6 @@ impl MeshNoc {
             "dst outside mesh"
         );
         src.0.abs_diff(dst.0) + src.1.abs_diff(dst.1)
-    }
-
-    /// Contention-free transfer time in nanoseconds for `bytes` from `src`
-    /// to `dst`: head latency (hops) plus serialization on the narrowest
-    /// (uniform) link.
-    pub fn transfer_time_ns(&self, bytes: u64, src: Tile, dst: Tile) -> f64 {
-        let hops = self.hops(src, dst) as f64;
-        hops * self.hop_latency_ns + bytes as f64 / self.link_bw_gbps
-    }
-
-    /// Bisection bandwidth in GB/s: links crossing the narrower mid-cut.
-    pub fn bisection_bandwidth_gbps(&self) -> f64 {
-        let cut_links = self.width.min(self.height);
-        cut_links as f64 * self.link_bw_gbps
-    }
-
-    /// Worst-case one-to-all broadcast time from `src` (farthest corner
-    /// bound; a tree broadcast pipelines the serialization).
-    pub fn broadcast_time_ns(&self, bytes: u64, src: Tile) -> f64 {
-        let corners = [
-            (0, 0),
-            (self.width - 1, 0),
-            (0, self.height - 1),
-            (self.width - 1, self.height - 1),
-        ];
-        let max_hops = corners
-            .iter()
-            .map(|&c| self.hops(src, c))
-            .max()
-            .unwrap_or(0) as f64;
-        max_hops * self.hop_latency_ns + bytes as f64 / self.link_bw_gbps
     }
 
     /// First-order latency of offloading a symbolic operator of `flops`
@@ -144,7 +98,7 @@ mod tests {
 
     #[test]
     fn hop_math_is_manhattan() {
-        let mesh = MeshNoc::accelerator_like(4, 4);
+        let mesh = MeshNoc::new(4, 4, 128.0, 1.0);
         assert_eq!(mesh.hops((0, 0), (3, 3)), 6);
         assert_eq!(mesh.hops((1, 2), (1, 2)), 0);
         assert_eq!(mesh.hops((3, 0), (0, 0)), 3);
@@ -153,47 +107,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside mesh")]
     fn hops_validates_coordinates() {
-        let mesh = MeshNoc::accelerator_like(2, 2);
+        let mesh = MeshNoc::new(2, 2, 128.0, 1.0);
         let _ = mesh.hops((0, 0), (2, 0));
-    }
-
-    #[test]
-    fn transfer_time_separates_latency_and_bandwidth() {
-        let mesh = MeshNoc::new(4, 4, 100.0, 2.0);
-        // 1 KB over 3 hops: 6 ns head + 10 ns serialization.
-        let t = mesh.transfer_time_ns(1000, (0, 0), (2, 1));
-        assert!((t - 16.0).abs() < 1e-9, "{t}");
-        // Zero-hop transfer is pure serialization.
-        let local = mesh.transfer_time_ns(1000, (1, 1), (1, 1));
-        assert!((local - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bisection_scales_with_narrow_dimension() {
-        assert_eq!(
-            MeshNoc::new(8, 4, 100.0, 1.0).bisection_bandwidth_gbps(),
-            400.0
-        );
-        assert_eq!(
-            MeshNoc::new(4, 4, 128.0, 1.0).bisection_bandwidth_gbps(),
-            512.0
-        );
-    }
-
-    #[test]
-    fn broadcast_bounded_by_farthest_corner() {
-        let mesh = MeshNoc::new(4, 4, 128.0, 1.0);
-        let from_corner = mesh.broadcast_time_ns(0, (0, 0));
-        let from_center = mesh.broadcast_time_ns(0, (1, 1));
-        assert!(from_corner > from_center);
-        assert_eq!(from_corner, 6.0);
     }
 
     #[test]
     fn compute_bound_offload_improves_with_mesh_size() {
         // Compute-heavy operator: more PEs help.
-        let small = MeshNoc::accelerator_like(2, 2);
-        let large = MeshNoc::accelerator_like(4, 4);
+        let small = MeshNoc::new(2, 2, 128.0, 1.0);
+        let large = MeshNoc::new(4, 4, 128.0, 1.0);
         let flops = 10_000_000_000;
         let bytes = 1_000_000;
         assert!(
@@ -207,8 +129,8 @@ mod tests {
         // Bandwidth-heavy symbolic operator (1 flop per 12 bytes): growing
         // the mesh barely helps — scatter/gather dominates (the paper's
         // parallelism-scalability caution).
-        let small = MeshNoc::accelerator_like(2, 2);
-        let large = MeshNoc::accelerator_like(8, 8);
+        let small = MeshNoc::new(2, 2, 128.0, 1.0);
+        let large = MeshNoc::new(8, 8, 128.0, 1.0);
         let flops = 1_000;
         let bytes = 12_000_000;
         let t_small = small.offload_latency_ns(flops, bytes, 1.0);

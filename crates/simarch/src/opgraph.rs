@@ -100,11 +100,6 @@ impl OpGraph {
         self.nodes.is_empty()
     }
 
-    /// Nodes in insertion order.
-    pub fn nodes(&self) -> &[OpNode] {
-        &self.nodes
-    }
-
     /// Topological order of node ids.
     ///
     /// # Panics

@@ -65,11 +65,6 @@ pub fn project_trace(events: &[OpEvent], device: &Device) -> DeviceLatency {
     }
 }
 
-/// Project a trace onto several devices at once.
-pub fn project_trace_all(events: &[OpEvent], devices: &[Device]) -> Vec<DeviceLatency> {
-    devices.iter().map(|d| project_trace(events, d)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,15 +136,6 @@ mod tests {
         assert_eq!(l.total_secs(), 0.0);
         assert_eq!(l.symbolic_fraction(), 0.0);
         assert_eq!(l.op_count, 0);
-    }
-
-    #[test]
-    fn project_all_covers_every_device() {
-        let trace = mixed_trace();
-        let all = project_trace_all(&trace, &Device::presets());
-        assert_eq!(all.len(), 4);
-        let names: Vec<&str> = all.iter().map(|l| l.device.as_str()).collect();
-        assert!(names.contains(&"RTX-2080Ti"));
     }
 
     #[test]

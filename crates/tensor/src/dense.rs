@@ -193,21 +193,6 @@ impl Tensor {
         Ok(())
     }
 
-    /// The single value of a scalar or one-element tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor has more than one element.
-    pub fn item(&self) -> f32 {
-        assert_eq!(
-            self.numel(),
-            1,
-            "item() requires exactly one element, shape is {}",
-            self.shape
-        );
-        self.data[0]
-    }
-
     /// Number of non-zero elements.
     pub fn count_nonzero(&self) -> usize {
         self.data.iter().filter(|v| **v != 0.0).count()
@@ -324,17 +309,6 @@ mod tests {
         assert_eq!(t.at(&[1, 2]).unwrap(), 5.0);
         assert_eq!(t.at(&[0, 0]).unwrap(), 0.0);
         assert!(t.at(&[2, 0]).is_err());
-    }
-
-    #[test]
-    fn item_on_scalar() {
-        assert_eq!(Tensor::scalar(3.5).item(), 3.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "exactly one element")]
-    fn item_panics_on_vector() {
-        let _ = Tensor::zeros(&[2]).item();
     }
 
     #[test]

@@ -214,40 +214,6 @@ impl Tensor {
     }
 }
 
-/// Forward FFT of a real vector; returns `(re, im)` spectra.
-///
-/// # Errors
-///
-/// Returns [`TensorError::InvalidArgument`] for non-power-of-two lengths.
-pub fn rfft(x: &[f32]) -> Result<(Vec<f32>, Vec<f32>), TensorError> {
-    if !x.len().is_power_of_two() {
-        return Err(TensorError::InvalidArgument(format!(
-            "FFT requires power-of-two length, got {}",
-            x.len()
-        )));
-    }
-    let n = x.len();
-    let log_n = n.trailing_zeros() as u64;
-    Ok(run_op(
-        "rfft",
-        OpCategory::DataTransform,
-        || {
-            let mut re = x.to_vec();
-            let mut im = vec![0.0f32; n];
-            fft_in_place(&mut re, &mut im, false);
-            (re, im)
-        },
-        |_out| {
-            // One complex FFT: ~5 n log n flops (butterflies).
-            OpMeta::new()
-                .flops(5 * n as u64 * log_n.max(1))
-                .bytes_read(n as u64 * ELEM)
-                .bytes_written(2 * n as u64 * ELEM)
-                .output_elems(2 * n as u64)
-        },
-    ))
-}
-
 /// Inverse FFT back to (approximately real) time domain; returns the real
 /// part.
 ///
@@ -296,10 +262,18 @@ mod tests {
         Tensor::from_vec(data.to_vec(), &[data.len()]).unwrap()
     }
 
+    /// Forward transform of a real vector: `(re, im)` spectra.
+    fn forward(x: &[f32]) -> (Vec<f32>, Vec<f32>) {
+        let mut re = x.to_vec();
+        let mut im = vec![0.0f32; x.len()];
+        fft_in_place(&mut re, &mut im, false);
+        (re, im)
+    }
+
     #[test]
     fn fft_round_trip() {
         let x = vec![1.0, 2.0, -0.5, 3.0, 0.0, -1.0, 2.5, 0.25];
-        let (re, im) = rfft(&x).unwrap();
+        let (re, im) = forward(&x);
         let back = irfft(&re, &im).unwrap();
         for (a, b) in x.iter().zip(&back) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
@@ -310,14 +284,13 @@ mod tests {
     fn fft_of_impulse_is_flat() {
         let mut x = vec![0.0f32; 8];
         x[0] = 1.0;
-        let (re, im) = rfft(&x).unwrap();
+        let (re, im) = forward(&x);
         assert!(re.iter().all(|v| (v - 1.0).abs() < 1e-6));
         assert!(im.iter().all(|v| v.abs() < 1e-6));
     }
 
     #[test]
     fn fft_rejects_non_power_of_two() {
-        assert!(rfft(&[1.0, 2.0, 3.0]).is_err());
         let a = t(&[1.0, 2.0, 3.0]);
         assert!(a.circular_conv_fft(&a).is_err());
     }

@@ -324,22 +324,6 @@ impl Tensor {
         self.pool2d("maxpool2d", k, f32::NEG_INFINITY, f32::max, |acc, _| acc)
     }
 
-    /// 2-D average pooling over square windows of size `k` with stride `k`.
-    ///
-    /// # Errors
-    ///
-    /// Returns rank errors for non-NCHW tensors and invalid-argument errors
-    /// when `k` is zero or exceeds the spatial size.
-    pub fn avgpool2d(&self, k: usize) -> Result<Tensor, TensorError> {
-        self.pool2d(
-            "avgpool2d",
-            k,
-            0.0,
-            |a, b| a + b,
-            |acc, count| acc / count as f32,
-        )
-    }
-
     fn pool2d(
         &self,
         name: &'static str,
@@ -504,13 +488,6 @@ mod tests {
         let out = input.maxpool2d(2).unwrap();
         assert_eq!(out.dims(), &[1, 1, 2, 2]);
         assert_eq!(out.data(), &[6.0, 8.0, 14.0, 16.0]);
-    }
-
-    #[test]
-    fn avgpool_takes_window_mean() {
-        let input = Tensor::from_vec(vec![1.0, 3.0, 5.0, 7.0], &[1, 1, 2, 2]).unwrap();
-        let out = input.avgpool2d(2).unwrap();
-        assert_eq!(out.data(), &[4.0]);
     }
 
     #[test]

@@ -156,33 +156,6 @@ impl Tensor {
         self.binary_op(other, "div", |a, b| a / b)
     }
 
-    /// Elementwise maximum with broadcasting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes do not broadcast.
-    pub fn maximum(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.binary_op(other, "maximum", f32::max)
-    }
-
-    /// Elementwise minimum with broadcasting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes do not broadcast.
-    pub fn minimum(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.binary_op(other, "minimum", f32::min)
-    }
-
-    /// Elementwise `a > b` as 0/1 with broadcasting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes do not broadcast.
-    pub fn gt(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.binary_op(other, "gt", |a, b| if a > b { 1.0 } else { 0.0 })
-    }
-
     /// Add a scalar to every element.
     pub fn add_scalar(&self, s: f32) -> Tensor {
         self.unary_op("add_scalar", |v| v + s)
@@ -370,9 +343,6 @@ mod tests {
         assert_eq!(a.sub(&b).unwrap().data(), &[2.0, 6.0]);
         assert_eq!(a.mul(&b).unwrap().data(), &[8.0, 27.0]);
         assert_eq!(a.div(&b).unwrap().data(), &[2.0, 3.0]);
-        assert_eq!(a.maximum(&b).unwrap().data(), &[4.0, 9.0]);
-        assert_eq!(a.minimum(&b).unwrap().data(), &[2.0, 3.0]);
-        assert_eq!(a.gt(&b).unwrap().data(), &[1.0, 1.0]);
     }
 
     #[test]

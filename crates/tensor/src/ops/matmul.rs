@@ -11,7 +11,7 @@
 //!
 //! # FLOP accounting
 //!
-//! Kernels that skip zero `A` entries (`matmul`, `matmul_at`, `bmm`)
+//! Kernels that skip zero `A` entries (`matmul`, `matmul_at`)
 //! report *effective* FLOPs — `2·nnz(A)·n`, the multiply–adds actually
 //! performed — rather than the dense `2·m·k·n` bound, so roofline points
 //! for sparse operands are not overstated. Dense-inner-loop kernels
@@ -273,57 +273,6 @@ impl Tensor {
         ))
     }
 
-    /// Batched matrix product: `[b,m,k] × [b,k,n] → [b,m,n]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns rank/shape errors when operands are not rank-3 with matching
-    /// batch and inner dimensions.
-    pub fn bmm(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        if self.rank() != 3 || other.rank() != 3 {
-            return Err(TensorError::RankMismatch {
-                op: "bmm",
-                expected: 3,
-                actual: if self.rank() != 3 {
-                    self.rank()
-                } else {
-                    other.rank()
-                },
-            });
-        }
-        let (b, m, k) = (self.dims()[0], self.dims()[1], self.dims()[2]);
-        let (b2, k2, n) = (other.dims()[0], other.dims()[1], other.dims()[2]);
-        if b != b2 || k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                op: "bmm",
-                lhs: self.dims().to_vec(),
-                rhs: other.dims().to_vec(),
-            });
-        }
-        Ok(run_op(
-            "bmm",
-            OpCategory::MatMul,
-            || {
-                let mut data = Vec::with_capacity(b * m * n);
-                for batch in 0..b {
-                    let a_slab = &self.data()[batch * m * k..(batch + 1) * m * k];
-                    let b_slab = &other.data()[batch * k * n..(batch + 1) * k * n];
-                    data.extend(gemm_kernel(a_slab, b_slab, m, k, n));
-                }
-                Tensor::from_vec_unchecked(data, Shape::new(&[b, m, n]))
-            },
-            |out| {
-                OpMeta::new()
-                    // Effective FLOPs: gemm_kernel skips zero A entries.
-                    .flops(2 * nnz(self.data()) * n as u64)
-                    .bytes_read(((b * (m * k + k * n)) as u64) * ELEM)
-                    .bytes_written((b * m * n) as u64 * ELEM)
-                    .output_elems(out.numel() as u64)
-                    .output_nonzeros(nnz(out.data()))
-            },
-        ))
-    }
-
     /// Outer product of two vectors: `[m] ⊗ [n] → [m,n]`.
     ///
     /// # Errors
@@ -474,26 +423,6 @@ mod tests {
         for (x, y) in mv.data().iter().zip(mm.data()) {
             assert!((x - y).abs() < 1e-5);
         }
-    }
-
-    #[test]
-    fn bmm_independent_batches() {
-        let a = Tensor::rand_uniform(&[3, 2, 4], -1.0, 1.0, 6);
-        let b = Tensor::rand_uniform(&[3, 4, 5], -1.0, 1.0, 7);
-        let c = a.bmm(&b).unwrap();
-        assert_eq!(c.dims(), &[3, 2, 5]);
-        // Batch 1 equals standalone matmul of its slices.
-        let a1 = t(&a.data()[8..16], &[2, 4]);
-        let b1 = t(&b.data()[20..40], &[4, 5]);
-        let c1 = a1.matmul(&b1).unwrap();
-        assert_eq!(&c.data()[10..20], c1.data());
-    }
-
-    #[test]
-    fn bmm_validates_batch_dims() {
-        let a = Tensor::zeros(&[2, 2, 2]);
-        let b = Tensor::zeros(&[3, 2, 2]);
-        assert!(a.bmm(&b).is_err());
     }
 
     #[test]

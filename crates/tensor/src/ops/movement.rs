@@ -1,13 +1,12 @@
 //! Data movement operators (`OpCategory::DataMovement`).
 //!
-//! Duplication, assignment, and *simulated* host↔device transfers. The paper
+//! Duplication and *simulated* host↔device transfers. The paper
 //! finds data movement "accounts for around 50% of total latency" in the
 //! GPU execution of symbolic kernels, with >80% of it host-to-device; the
 //! [`Tensor::stage_transfer`] helper lets workloads mark the points where a
 //! CPU↔GPU boundary would sit so the trace carries the same structure.
 
 use crate::dense::Tensor;
-use crate::error::TensorError;
 use crate::instrument::{nnz, run_op, ELEM};
 use nsai_core::profile::OpMeta;
 use nsai_core::taxonomy::OpCategory;
@@ -51,34 +50,6 @@ impl Tensor {
         )
     }
 
-    /// Copy `src`'s contents into `self` (recorded as data movement).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn assign(&mut self, src: &Tensor) -> Result<(), TensorError> {
-        if self.shape() != src.shape() {
-            return Err(TensorError::ShapeMismatch {
-                op: "assign",
-                lhs: self.dims().to_vec(),
-                rhs: src.dims().to_vec(),
-            });
-        }
-        let n = self.numel() as u64;
-        run_op(
-            "tensor_assign",
-            OpCategory::DataMovement,
-            || self.data_mut().copy_from_slice(src.data()),
-            |_| {
-                OpMeta::new()
-                    .bytes_read(n * ELEM)
-                    .bytes_written(n * ELEM)
-                    .output_elems(n)
-            },
-        );
-        Ok(())
-    }
-
     /// Mark a simulated host↔device staging transfer of this tensor.
     ///
     /// On real hardware this is a `cudaMemcpy`; here it touches every byte
@@ -120,16 +91,6 @@ mod tests {
         assert_eq!(e.category, OpCategory::DataMovement);
         assert_eq!(e.flops, 0);
         assert_eq!(e.bytes_read, 32);
-    }
-
-    #[test]
-    fn assign_copies_and_validates() {
-        let mut a = Tensor::zeros(&[3]);
-        let b = Tensor::ones(&[3]);
-        a.assign(&b).unwrap();
-        assert_eq!(a.data(), &[1.0, 1.0, 1.0]);
-        let c = Tensor::ones(&[4]);
-        assert!(a.assign(&c).is_err());
     }
 
     #[test]

@@ -91,35 +91,6 @@ impl Tensor {
         self.full_reduce("min", |d| chunked_fold(d, f32::INFINITY, f32::min))
     }
 
-    /// Index of the maximum element (first occurrence).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty tensor.
-    pub fn argmax(&self) -> usize {
-        assert!(self.numel() > 0, "argmax() of empty tensor");
-        let n = self.numel() as u64;
-        run_op(
-            "argmax",
-            OpCategory::VectorElementwise,
-            || {
-                self.data()
-                    .iter()
-                    .enumerate()
-                    .max_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0)
-            },
-            |_| {
-                OpMeta::new()
-                    .flops(n)
-                    .bytes_read(n * ELEM)
-                    .bytes_written(ELEM)
-                    .output_elems(1)
-            },
-        )
-    }
-
     /// L2 norm of all elements.
     pub fn norm(&self) -> f32 {
         let n = self.numel() as u64;
@@ -152,21 +123,6 @@ impl Tensor {
     /// Returns [`TensorError::AxisOutOfRange`] when `axis >= rank`.
     pub fn sum_axis(&self, axis: usize) -> Result<Tensor, TensorError> {
         self.reduce_axis("sum_axis", axis, 0.0, |a, b| a + b, |acc, _| acc)
-    }
-
-    /// Mean along one axis, removing it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::AxisOutOfRange`] when `axis >= rank`.
-    pub fn mean_axis(&self, axis: usize) -> Result<Tensor, TensorError> {
-        self.reduce_axis(
-            "mean_axis",
-            axis,
-            0.0,
-            |a, b| a + b,
-            |acc, n| acc / n as f32,
-        )
     }
 
     /// Maximum along one axis, removing it.
@@ -331,36 +287,6 @@ impl Tensor {
         ))
     }
 
-    /// Log-sum-exp over all elements (numerically stable).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty tensor.
-    pub fn logsumexp(&self) -> f32 {
-        assert!(self.numel() > 0, "logsumexp() of empty tensor");
-        let n = self.numel() as u64;
-        run_op(
-            "logsumexp",
-            OpCategory::VectorElementwise,
-            || {
-                let m = self
-                    .data()
-                    .iter()
-                    .cloned()
-                    .fold(f32::NEG_INFINITY, f32::max);
-                let s: f32 = self.data().iter().map(|v| (v - m).exp()).sum();
-                m + s.ln()
-            },
-            |_| {
-                OpMeta::new()
-                    .flops(3 * n)
-                    .bytes_read(n * ELEM)
-                    .bytes_written(ELEM)
-                    .output_elems(1)
-            },
-        )
-    }
-
     /// Cosine similarity with another vector of the same shape.
     ///
     /// # Errors
@@ -428,7 +354,6 @@ mod tests {
         assert_eq!(a.mean(), 2.5);
         assert_eq!(a.max(), 4.0);
         assert_eq!(a.min(), 1.0);
-        assert_eq!(a.argmax(), 3);
         assert!((a.norm() - 30.0f32.sqrt()).abs() < 1e-6);
     }
 
@@ -440,8 +365,6 @@ mod tests {
         assert_eq!(s0.data(), &[5.0, 7.0, 9.0]);
         let s1 = a.sum_axis(1).unwrap();
         assert_eq!(s1.data(), &[6.0, 15.0]);
-        let m1 = a.mean_axis(1).unwrap();
-        assert_eq!(m1.data(), &[2.0, 5.0]);
         let x0 = a.max_axis(0).unwrap();
         assert_eq!(x0.data(), &[4.0, 5.0, 6.0]);
         assert!(a.sum_axis(2).is_err());
@@ -484,13 +407,6 @@ mod tests {
         let a = t(&[2.0, 2.0, 0.0, 0.0], &[2, 2]);
         let p = a.normalize_prob().unwrap();
         assert_eq!(p.data(), &[0.5, 0.5, 0.5, 0.5]);
-    }
-
-    #[test]
-    fn logsumexp_matches_naive() {
-        let a = t(&[0.5, 1.5, -0.3], &[3]);
-        let naive = a.data().iter().map(|v| v.exp()).sum::<f32>().ln();
-        assert!((a.logsumexp() - naive).abs() < 1e-5);
     }
 
     #[test]

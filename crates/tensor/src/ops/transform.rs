@@ -174,41 +174,6 @@ impl Tensor {
         ))
     }
 
-    /// Stack rank-N tensors into a rank-N+1 tensor along a new axis 0.
-    ///
-    /// # Errors
-    ///
-    /// Returns errors when the list is empty or shapes differ.
-    pub fn stack(tensors: &[&Tensor]) -> Result<Tensor, TensorError> {
-        let first = tensors
-            .first()
-            .ok_or_else(|| TensorError::InvalidArgument("stack of empty list".into()))?;
-        for t in tensors {
-            if t.shape() != first.shape() {
-                return Err(TensorError::ShapeMismatch {
-                    op: "stack",
-                    lhs: first.dims().to_vec(),
-                    rhs: t.dims().to_vec(),
-                });
-            }
-        }
-        let mut out_dims = vec![tensors.len()];
-        out_dims.extend_from_slice(first.dims());
-        let total: usize = tensors.iter().map(|t| t.numel()).sum();
-        Ok(run_op(
-            "stack",
-            OpCategory::DataTransform,
-            || {
-                let mut out = Vec::with_capacity(total);
-                for t in tensors {
-                    out.extend_from_slice(t.data());
-                }
-                Tensor::from_vec_unchecked(out, Shape::new(&out_dims))
-            },
-            |out| move_meta(total, out),
-        ))
-    }
-
     /// Extract the slice `[start, start+len)` along `axis`.
     ///
     /// # Errors
@@ -352,31 +317,6 @@ impl Tensor {
         ))
     }
 
-    /// Zero-pad a rank-1 tensor to length `n` (truncates if shorter).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for non-vectors.
-    pub fn pad_to(&self, n: usize) -> Result<Tensor, TensorError> {
-        if self.rank() != 1 {
-            return Err(TensorError::RankMismatch {
-                op: "pad_to",
-                expected: 1,
-                actual: self.rank(),
-            });
-        }
-        Ok(run_op(
-            "pad",
-            OpCategory::DataTransform,
-            || {
-                let mut out = self.data().to_vec();
-                out.resize(n, 0.0);
-                Tensor::from_vec_unchecked(out, Shape::new(&[n]))
-            },
-            |out| move_meta(self.numel().min(n), out),
-        ))
-    }
-
     /// One-hot encode a class index into a length-`n` vector.
     ///
     /// # Errors
@@ -482,17 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn stack_adds_leading_axis() {
-        let a = t(&[1.0, 2.0], &[2]);
-        let b = t(&[3.0, 4.0], &[2]);
-        let s = Tensor::stack(&[&a, &b]).unwrap();
-        assert_eq!(s.dims(), &[2, 2]);
-        assert_eq!(s.data(), &[1.0, 2.0, 3.0, 4.0]);
-        let c = t(&[1.0], &[1]);
-        assert!(Tensor::stack(&[&a, &c]).is_err());
-    }
-
-    #[test]
     fn slice_axis_extracts_window() {
         let a = t(&(0..12).map(|v| v as f32).collect::<Vec<_>>(), &[3, 4]);
         let s = a.slice_axis(0, 1, 2).unwrap();
@@ -532,10 +461,7 @@ mod tests {
     }
 
     #[test]
-    fn pad_and_one_hot() {
-        let a = t(&[1.0, 2.0], &[2]);
-        assert_eq!(a.pad_to(4).unwrap().data(), &[1.0, 2.0, 0.0, 0.0]);
-        assert_eq!(a.pad_to(1).unwrap().data(), &[1.0]);
+    fn one_hot_sets_one_index() {
         let h = Tensor::one_hot(2, 4).unwrap();
         assert_eq!(h.data(), &[0.0, 0.0, 1.0, 0.0]);
         assert!(Tensor::one_hot(4, 4).is_err());

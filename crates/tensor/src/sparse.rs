@@ -101,16 +101,6 @@ impl CooMatrix {
         })
     }
 
-    /// Row count.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Column count.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Stored entries (may contain duplicates before coalescing).
     pub fn entries(&self) -> &[(usize, usize, f32)] {
         &self.entries
@@ -199,29 +189,9 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// Row count.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Column count.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Non-zero count.
     pub fn nnz(&self) -> usize {
         self.values.len()
-    }
-
-    /// Row pointers (length `rows + 1`).
-    pub fn row_ptr(&self) -> &[usize] {
-        &self.row_ptr
-    }
-
-    /// Column indices per non-zero.
-    pub fn col_idx(&self) -> &[usize] {
-        &self.col_idx
     }
 
     /// Values per non-zero.
@@ -437,7 +407,7 @@ mod tests {
         let d = sample_dense();
         let csr = CooMatrix::from_dense(&d).unwrap().to_csr();
         assert_eq!(csr.nnz(), 4);
-        assert_eq!(csr.row_ptr(), &[0, 2, 3, 4]);
+        assert_eq!(csr.row_ptr, &[0, 2, 3, 4]);
         assert_eq!(csr.to_dense().data(), d.data());
         assert!((csr.density() - 4.0 / 9.0).abs() < 1e-12);
     }

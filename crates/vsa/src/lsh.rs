@@ -40,11 +40,6 @@ impl LshEncoder {
         }
     }
 
-    /// Input feature dimensionality.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
     /// Output hypervector dimensionality.
     pub fn dim(&self) -> usize {
         self.dim

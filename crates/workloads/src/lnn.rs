@@ -181,7 +181,8 @@ impl Lnn {
     /// # Panics
     ///
     /// Panics for out-of-range ids or non-positive weights.
-    pub fn set_weights(&mut self, neuron: usize, w_left: f32, w_right: f32, beta: f32) {
+    #[cfg(test)]
+    fn set_weights(&mut self, neuron: usize, w_left: f32, w_right: f32, beta: f32) {
         assert!(neuron < self.neurons.len(), "neuron id out of range");
         assert!(
             w_left > 0.0 && w_right > 0.0 && beta > 0.0,

@@ -124,10 +124,10 @@ impl NvsaConfig {
     }
 
     /// Paper-scale config: full NVSA hypervector dimensionality and a
-    /// larger panel resolution. Minutes, not milliseconds — used by the
-    /// opt-in (`--ignored`) scaling tests and manual studies, never by CI
-    /// defaults.
-    pub fn paper_scale() -> Self {
+    /// larger panel resolution. Minutes, not milliseconds — used only by
+    /// the opt-in (`--ignored`) paper-scale test.
+    #[cfg(test)]
+    fn paper_scale() -> Self {
         NvsaConfig {
             grid: 3,
             dim: 8192,

@@ -85,11 +85,6 @@ impl Perception {
         }
     }
 
-    /// Panel resolution.
-    pub fn res(&self) -> usize {
-        self.res
-    }
-
     /// Persistent weight footprint in bytes (conv stack + attribute
     /// heads) — registered by the owning workload at run time.
     pub fn storage_bytes(&self) -> u64 {
@@ -100,11 +95,6 @@ impl Perception {
             .map(|&card| card * feature_dim + card)
             .sum();
         ((conv + heads) * 4) as u64
-    }
-
-    /// Whether the heads have been trained.
-    pub fn is_trained(&self) -> bool {
-        self.trained
     }
 
     /// Train the per-attribute heads on `n_samples` random panels for
@@ -154,44 +144,6 @@ impl Perception {
         }
         self.trained = true;
         Ok(())
-    }
-
-    /// Held-out classification accuracy of the trained heads per
-    /// attribute (diagnostic).
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor errors.
-    pub fn head_accuracy(
-        &mut self,
-        n_samples: usize,
-        seed: u64,
-    ) -> Result<Vec<f64>, WorkloadError> {
-        let mut generator = RpmGenerator::new(seed);
-        let mut panels = Vec::with_capacity(n_samples);
-        while panels.len() < n_samples {
-            panels.extend_from_slice(&generator.generate(3).matrix);
-        }
-        panels.truncate(n_samples);
-        let mut correct = [0usize; 5];
-        for p in &panels {
-            let pmfs = self.infer_pmfs(p)?;
-            for (attr, pmf) in pmfs.iter().enumerate() {
-                let argmax = pmf
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0);
-                if argmax == p.attributes()[attr] {
-                    correct[attr] += 1;
-                }
-            }
-        }
-        Ok(correct
-            .iter()
-            .map(|&c| c as f64 / panels.len() as f64)
-            .collect())
     }
 
     /// Standardize conv features with the statistics fitted at training
@@ -392,12 +344,42 @@ mod tests {
         ));
     }
 
+    /// Held-out classification accuracy of the trained heads, per
+    /// attribute.
+    fn head_accuracy(p: &mut Perception, n_samples: usize, seed: u64) -> Vec<f64> {
+        let mut generator = RpmGenerator::new(seed);
+        let mut panels = Vec::with_capacity(n_samples);
+        while panels.len() < n_samples {
+            panels.extend_from_slice(&generator.generate(3).matrix);
+        }
+        panels.truncate(n_samples);
+        let mut correct = [0usize; 5];
+        for panel in &panels {
+            let pmfs = p.infer_pmfs(panel).unwrap();
+            for (attr, pmf) in pmfs.iter().enumerate() {
+                let argmax = pmf
+                    .iter()
+                    .enumerate()
+                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
+                    .map(|(i, _)| i)
+                    .unwrap_or(0);
+                if argmax == panel.attributes()[attr] {
+                    correct[attr] += 1;
+                }
+            }
+        }
+        correct
+            .iter()
+            .map(|&c| c as f64 / panels.len() as f64)
+            .collect()
+    }
+
     #[test]
     fn trained_heads_beat_chance() {
         let mut p = Perception::new(PerceptionMode::Neural, 16, 3);
         p.train(200, 80, 7).unwrap();
-        assert!(p.is_trained());
-        let acc = p.head_accuracy(40, 99).unwrap();
+        assert!(p.trained);
+        let acc = head_accuracy(&mut p, 40, 99);
         // Chance levels are 1/9, 1/9, 1/5, 1/6, 1/10. Linear probes on a
         // small frozen ConvNet cannot master every attribute; require
         // clearly-above-chance on each.

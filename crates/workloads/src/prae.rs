@@ -203,57 +203,6 @@ impl Prae {
         mask
     }
 
-    /// Rotate a set distribution: every mask's slots shift by `delta`
-    /// around the 9-slot grid (the set-space image of an index
-    /// progression, since `slots(i+δ, m) = rotate_δ(slots(i, m))`).
-    pub fn set_rotate(dist: &Tensor, delta: i32) -> Result<Tensor, WorkloadError> {
-        let out = profile::time_op_with("set_rotate", OpCategory::Other, || {
-            let shift = delta.rem_euclid(9) as u32;
-            let mut out = vec![0.0f32; 512];
-            for (mask, p) in dist.data().iter().enumerate() {
-                if *p == 0.0 {
-                    continue;
-                }
-                let m = mask as u32;
-                let rotated = ((m << shift) | (m >> (9 - shift))) & 0x1FF;
-                out[rotated as usize] += p;
-            }
-            let meta = OpMeta::new()
-                .flops(512)
-                .bytes_read(512 * 4)
-                .bytes_written(512 * 4)
-                .output_elems(512)
-                .output_nonzeros(out.iter().filter(|v| **v != 0.0).count() as u64);
-            (out, meta)
-        });
-        Ok(Tensor::from_vec(out, &[512])?)
-    }
-
-    /// Predict a row's last set distribution under a rule hypothesis,
-    /// entirely in set space.
-    pub fn set_predict(
-        rule: RuleKind,
-        row: &[Tensor],
-        row0: &[Tensor],
-    ) -> Result<Tensor, WorkloadError> {
-        let prev = row.last().expect("rows are non-empty");
-        Ok(match rule {
-            RuleKind::Constant => prev.clone(),
-            RuleKind::Progression(delta) => Self::set_rotate(prev, delta)?,
-            RuleKind::Arithmetic(add) => Self::set_rule_predict(&row[0], &row[1], add)?,
-            RuleKind::DistributeThree => {
-                let mut acc = row0[0].clone();
-                for d in &row0[1..] {
-                    acc = acc.add(d)?;
-                }
-                for d in row {
-                    acc = acc.sub(d)?;
-                }
-                acc.relu().normalize_prob()?
-            }
-        })
-    }
-
     /// Exhaustive set-rule posterior: the probability that the third set
     /// is the union (or difference) of the first two, marginalizing over
     /// the full 512×512 joint — the paper's "exhaustive probability
@@ -698,18 +647,7 @@ mod tests {
     }
 
     #[test]
-    fn set_rotation_matches_index_shift() {
-        // A one-hot set distribution for (i=2, m=1) rotated by +1 equals
-        // the distribution for (i=3, m=1).
-        let mut d = vec![0.0f32; 512];
-        d[Prae::mask_of(2, 1)] = 1.0;
-        let dist = Tensor::from_vec(d, &[512]).unwrap();
-        let rotated = Prae::set_rotate(&dist, 1).unwrap();
-        assert!((rotated.data()[Prae::mask_of(3, 1)] - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn set_predict_union_is_exhaustive_marginal() {
+    fn set_rule_union_is_exhaustive_marginal() {
         let one_hot = |mask: usize| {
             let mut v = vec![0.0f32; 512];
             v[mask] = 1.0;
@@ -717,12 +655,8 @@ mod tests {
         };
         let a = one_hot(0b000000011);
         let b = one_hot(0b000000110);
-        let row = vec![a.clone(), b.clone()];
-        let pred = Prae::set_predict(RuleKind::Arithmetic(true), &row, &row).unwrap();
+        let pred = Prae::set_rule_predict(&a, &b, true).unwrap();
         assert!((pred.data()[0b000000111] - 1.0).abs() < 1e-6);
-        // Constant in set space reproduces the previous panel.
-        let pred_c = Prae::set_predict(RuleKind::Constant, &row, &row).unwrap();
-        assert_eq!(pred_c.data(), b.data());
     }
 
     #[test]
