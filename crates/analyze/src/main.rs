@@ -14,9 +14,12 @@
 //! format's stderr summary line reports the same count.
 //!
 //! Exit codes: `0` clean, `1` findings at deny severity (or any finding
-//! under `--deny-warnings`), `2` usage or configuration error.
+//! under `--deny-warnings`), `2` usage, configuration or I/O error. A
+//! stdout closed by its reader (`nsai-analyze | head`) is not an error:
+//! the report stops and the exit code still follows the findings.
 
 use nsai_analyze::{collect_callers, collect_sources, rules, Config, Finding, Severity};
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -177,16 +180,21 @@ fn main() -> ExitCode {
     let warned = findings.len() - denied;
     let waived = all.len() - findings.len();
 
-    match args.format {
-        Format::Json => {
-            println!("{}", render_json(&all, files.len(), denied, warned, waived));
-        }
-        Format::Text => {
-            if !args.quiet {
-                for finding in &findings {
-                    println!("{finding}");
-                }
-            }
+    // A closed stdout (`nsai-analyze | head`) ends the report, not the
+    // run: the exit code below still reflects every finding.
+    let report = match args.format {
+        Format::Json => render_json(&all, files.len(), denied, warned, waived) + "\n",
+        Format::Text if !args.quiet => findings.iter().map(|f| format!("{f}\n")).collect(),
+        Format::Text => String::new(),
+    };
+    let mut stdout = io::stdout().lock();
+    if let Err(e) = stdout
+        .write_all(report.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        if e.kind() != io::ErrorKind::BrokenPipe {
+            eprintln!("error: writing the report: {e}");
+            return ExitCode::from(2);
         }
     }
     if args.format == Format::Text && (!args.quiet || !findings.is_empty()) {

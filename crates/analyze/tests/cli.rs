@@ -66,6 +66,31 @@ fn seeded_violation_exits_one_and_names_the_site() {
 }
 
 #[test]
+fn closed_stdout_ends_the_report_quietly() {
+    // `nsai-analyze --format json | true`: the reader is gone before the
+    // report is written. The findings still decide the exit code.
+    let tree = TempTree::new("closed-stdout");
+    tree.write(
+        "src/lib.rs",
+        "pub fn f(p: *mut u8) {\n    unsafe { *p = 0 };\n}\n",
+    );
+    for format in ["json", "text"] {
+        let (reader, writer) = std::io::pipe().expect("create pipe");
+        drop(reader);
+        let output = Command::new(env!("CARGO_BIN_EXE_nsai-analyze"))
+            .arg("--root")
+            .arg(&tree.0)
+            .args(["--format", format])
+            .stdout(writer)
+            .output()
+            .expect("run nsai-analyze");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{format}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{format}: {stderr}");
+    }
+}
+
+#[test]
 fn warnings_gate_only_under_deny_warnings() {
     let tree = TempTree::new("warnings");
     tree.write("lint.toml", "[rules.determinism]\nseverity = \"warn\"\n")

@@ -10,7 +10,7 @@
 //! into `results/`. Unknown exhibits abort before anything runs, with a
 //! non-zero exit status. `--list` prints the valid exhibit names.
 
-use nsai_bench::cli::Cli;
+use nsai_bench::cli::{emit, Cli};
 use nsai_bench::CharacterizationSet;
 use nsai_bench::{fig2a, fig2b, fig2c, fig3a, fig3b, fig3c, fig4, fig5, rec6, tab1, tab4};
 use std::fs;
@@ -47,21 +47,19 @@ fn main() {
         args.push(arg);
     }
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!(
+        emit(format_args!(
             "figures — regenerate the ISPASS 2024 tables and figures\n\n\
              usage: figures [--list] [EXHIBIT...]\n\n\
              EXHIBIT: {} | all (default)\n\n\
              Each exhibit prints its text table to stdout and writes\n\
              results/<exhibit>.json. --list prints the valid exhibit\n\
-             names, one per line.",
+             names, one per line.\n",
             EXHIBITS.join(" ")
-        );
+        ));
         return;
     }
     if args.iter().any(|a| a == "--list") {
-        for exhibit in EXHIBITS {
-            println!("{exhibit}");
-        }
+        emit(EXHIBITS.join("\n") + "\n");
         return;
     }
     let unknown: Vec<&String> = args
@@ -89,67 +87,70 @@ fn main() {
         None
     };
 
+    // A reader that closes stdout (`figures all | head`) stops the
+    // printing, not the JSON exports.
+    let mut printing = true;
     for exhibit in &wanted {
-        match exhibit.as_str() {
+        let text = match exhibit.as_str() {
             "2a" => {
                 let rows = fig2a::generate(set.as_ref().expect("collected"));
-                print!("{}", fig2a::render(&rows));
                 write_json("fig2a", &rows);
+                fig2a::render(&rows)
             }
             "2b" => {
                 let rows = fig2b::generate();
-                print!("{}", fig2b::render(&rows));
                 write_json("fig2b", &rows);
+                fig2b::render(&rows)
             }
             "2c" => {
                 let rows = fig2c::generate();
-                print!("{}", fig2c::render(&rows));
                 write_json("fig2c", &rows);
+                fig2c::render(&rows)
             }
             "3a" => {
                 let rows = fig3a::generate(set.as_ref().expect("collected"));
-                print!("{}", fig3a::render(&rows));
                 write_json("fig3a", &rows);
+                fig3a::render(&rows)
             }
             "3b" => {
                 let rows = fig3b::generate(set.as_ref().expect("collected"));
-                print!("{}", fig3b::render(&rows));
                 write_json("fig3b", &rows);
+                fig3b::render(&rows)
             }
             "3c" => {
                 let rows = fig3c::generate(set.as_ref().expect("collected"));
-                print!("{}", fig3c::render(&rows));
                 write_json("fig3c", &rows);
+                fig3c::render(&rows)
             }
             "4" => {
                 let rows = fig4::generate(set.as_ref().expect("collected"));
-                print!("{}", fig4::render(&rows));
                 write_json("fig4", &rows);
+                fig4::render(&rows)
             }
             "5" => {
                 let rows = fig5::generate();
-                print!("{}", fig5::render(&rows));
                 write_json("fig5", &rows);
+                fig5::render(&rows)
             }
             "tab1" => {
                 let rows = tab1::generate();
-                print!("{}", tab1::render(&rows));
                 write_json("tab1", &rows);
+                tab1::render(&rows)
             }
             "tab4" => {
                 let rows = tab4::generate(8);
-                print!("{}", tab4::render(&rows));
                 write_json("tab4", &rows);
+                tab4::render(&rows)
             }
             "rec6" => {
                 let rows = rec6::generate();
-                print!("{}", rec6::render(&rows));
                 write_json("rec6", &rows);
+                rec6::render(&rows)
             }
             // Arguments were validated up front; this arm is unreachable
             // but keeps the match exhaustive.
             other => unreachable!("exhibit `{other}` passed validation but has no handler"),
-        }
-        println!();
+        };
+        printing = printing && emit(text + "\n");
     }
 }

@@ -17,7 +17,7 @@
 //! per-entry IQR-derived tolerance. Exit codes: 0 pass, 1 gate
 //! violation (with a per-entry diff), 2 usage/schema/IO error.
 
-use nsai_bench::cli::Cli;
+use nsai_bench::cli::{emit, Cli};
 use nsai_bench::perf::{compare, run_suite, GateOptions, PerfReport, SuiteConfig, WORKLOAD_SUITE};
 use nsai_tensor::par;
 use std::fs;
@@ -28,7 +28,7 @@ const USAGE: &str = "perf [--out PATH] [--seed N] [--reps K] [--widths 1,4] \
        perf compare <BASELINE.json> <CANDIDATE.json> [--min-tolerance F] [--iqr-mult F]";
 
 fn print_help() {
-    println!(
+    emit(format_args!(
         "perf — deterministic perf suite and regression gate\n\n\
          usage: {USAGE}\n\n\
          Measures operator microbenchmarks, per-workload phase\n\
@@ -46,10 +46,10 @@ fn print_help() {
          IQRs.\n\n\
          exit codes: 0 ok/pass, 1 gate violation or nondeterministic\n\
          entry, 2 usage/schema/IO error.\n\n\
-         workloads: {workloads}",
+         workloads: {workloads}\n",
         max = par::MAX_THREADS,
         workloads = WORKLOAD_SUITE.join(" "),
-    );
+    ));
 }
 
 fn main() {
@@ -70,9 +70,7 @@ fn main() {
                 return;
             }
             "--list" => {
-                for name in WORKLOAD_SUITE {
-                    println!("{name}");
-                }
+                emit(WORKLOAD_SUITE.join("\n") + "\n");
                 return;
             }
             "--out" => out_path = cli.value("--out").unwrap_or_else(|e| cli.bail(e)),
@@ -106,15 +104,21 @@ fn main() {
         }
     };
 
-    for entry in &report.entries {
-        println!(
-            "{:<44} {:>12.3} ms  (iqr {:>10.3} ms, {} counters)",
-            entry.id,
-            entry.wall.median_ms(),
-            entry.wall.iqr_ns as f64 / 1e6,
-            entry.counters.len(),
-        );
-    }
+    // The report file is written whether or not stdout is still read.
+    let table: String = report
+        .entries
+        .iter()
+        .map(|entry| {
+            format!(
+                "{:<44} {:>12.3} ms  (iqr {:>10.3} ms, {} counters)\n",
+                entry.id,
+                entry.wall.median_ms(),
+                entry.wall.iqr_ns as f64 / 1e6,
+                entry.counters.len(),
+            )
+        })
+        .collect();
+    emit(table);
 
     if let Some(parent) = Path::new(&out_path).parent() {
         if let Err(e) = fs::create_dir_all(parent) {
@@ -127,11 +131,11 @@ fn main() {
         eprintln!("error: could not write {out_path}: {e}");
         std::process::exit(2);
     }
-    println!(
-        "wrote {out_path} ({} entries, {} bytes)",
+    emit(format_args!(
+        "wrote {out_path} ({} entries, {} bytes)\n",
         report.entries.len(),
         json.len()
-    );
+    ));
 }
 
 /// Parse `--widths`: each a distinct pool width in `1..=MAX_THREADS`.
@@ -203,7 +207,7 @@ fn run_compare(mut cli: Cli) -> ! {
     let candidate = read_report(&cli, candidate_path);
     match compare(&baseline, &candidate, options) {
         Ok(result) => {
-            print!("{}", result.render());
+            emit(result.render());
             std::process::exit(if result.passed() { 0 } else { 1 });
         }
         Err(e) => {

@@ -10,7 +10,7 @@
 //! <https://ui.perfetto.dev> to inspect the neural/symbolic timeline — the
 //! interactive counterpart of the paper's Fig. 4.
 
-use nsai_bench::cli::Cli;
+use nsai_bench::cli::{emit, Cli};
 use nsai_bench::profiled_run;
 use nsai_core::export::to_chrome_trace;
 use nsai_workloads::{all_workloads_small, Workload};
@@ -24,11 +24,11 @@ fn main() {
         cli.bail("missing workload name");
     };
     if name == "--help" || name == "-h" {
-        println!(
+        emit(format_args!(
             "trace — export one workload's profiled run as a Chrome trace\n\n\
              usage: {USAGE}\n\n\
-             Load the output in chrome://tracing or https://ui.perfetto.dev."
-        );
+             Load the output in chrome://tracing or https://ui.perfetto.dev.\n"
+        ));
         return;
     }
     let out_path = cli
@@ -53,10 +53,10 @@ fn main() {
         let _ = fs::create_dir_all(parent);
     }
     fs::write(&out_path, json).expect("write trace file");
-    println!(
-        "wrote {} events ({:.2} ms total) to {out_path}",
+    emit(format_args!(
+        "wrote {} events ({:.2} ms total) to {out_path}\n\
+         open chrome://tracing or https://ui.perfetto.dev and load the file\n",
         report.event_count(),
         report.total_duration().as_secs_f64() * 1e3
-    );
-    println!("open chrome://tracing or https://ui.perfetto.dev and load the file");
+    ));
 }

@@ -10,10 +10,28 @@
 //! The parsing methods return `Result<_, String>` so the message
 //! rendering is unit-testable; binaries funnel errors through
 //! [`Cli::bail`], which is the only place that exits.
+//!
+//! Output goes through [`emit`], so a stdout closed by its reader
+//! (`figures all | head`) stops the printing instead of panicking.
 
 use std::collections::VecDeque;
 use std::fmt::Display;
+use std::io::{self, Write};
 use std::str::FromStr;
+
+/// Write `text` to stdout through its lock, as `print!` does, and flush.
+/// Returns `false` when the reader has closed stdout (a broken pipe, as
+/// in `perf --list | true`): the caller stops printing and keeps the exit
+/// status its work decided. Any other write error panics, as with
+/// `print!`.
+pub fn emit(text: impl Display) -> bool {
+    let mut out = io::stdout().lock();
+    match write!(out, "{text}").and_then(|()| out.flush()) {
+        Ok(()) => true,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => false,
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
 
 /// A stream of command-line arguments plus the one-line usage string
 /// printed alongside every argument error.

@@ -4,8 +4,11 @@
 //! strictly after the neural stage (plus a host→device transfer), so
 //! symbolic work lies on the critical path; the compiled workloads (LNN,
 //! LTN, NLM, ZeroC) interleave phases layer by layer. Graphs are built
-//! from each workload's *measured* phase durations and analyzed for
+//! from each workload's measured stage costs and analyzed for
 //! critical-path composition and available parallelism (Takeaway 5).
+//! The analyzed graph weights each stage by the bytes it moves, which
+//! repeat exactly on any host; the critical path's host time is
+//! reported alongside.
 
 use crate::CharacterizationSet;
 use nsai_core::taxonomy::{OpCategory, Phase};
@@ -37,33 +40,42 @@ pub struct Fig4Row {
     pub workload: String,
     /// Graph shape.
     pub shape: GraphShape,
-    /// Critical-path length in milliseconds.
+    /// Host-measured critical-path length in milliseconds.
     pub critical_path_ms: f64,
-    /// Symbolic share of the critical path.
+    /// Symbolic share of the critical path, stages weighted by bytes
+    /// moved.
     pub critical_symbolic: f64,
-    /// Available parallelism (total work / critical path).
+    /// Available parallelism (total work / critical path), stages
+    /// weighted by bytes moved.
     pub parallelism: f64,
 }
 
-/// Build the operation graph of one workload from its measured report.
+/// Build the operation graph of one workload, each stage weighted by the
+/// bytes it moved in `report`.
 pub fn graph_for(report: &Report) -> OpGraph {
-    let neural_s = report.phase_duration(Phase::Neural).as_secs_f64();
-    let symbolic_s = report.phase_duration(Phase::Symbolic).as_secs_f64();
-    match shape_of(report.workload()) {
+    stage_graph(
+        shape_of(report.workload()),
+        report.phase_bytes(Phase::Neural) as f64,
+        report.cell(Phase::Symbolic, OpCategory::DataMovement).bytes as f64,
+        report.phase_bytes(Phase::Symbolic) as f64,
+    )
+}
+
+/// The graph of `shape` from its stage costs, in any one unit: the
+/// neural phase, the symbolic phase's data movement (the stage transfer
+/// of a pipelined workload), and the whole symbolic phase.
+fn stage_graph(shape: GraphShape, neural: f64, transfer: f64, symbolic: f64) -> OpGraph {
+    match shape {
         GraphShape::Pipelined => {
-            let transfer_s = report
-                .cell(Phase::Symbolic, OpCategory::DataMovement)
-                .duration
-                .as_secs_f64();
-            let reasoning_s = (symbolic_s - transfer_s).max(0.0);
+            let reasoning = (symbolic - transfer).max(0.0);
             // Split the symbolic chain into its canonical stages.
             OpGraph::pipelined(
-                neural_s,
-                transfer_s,
+                neural,
+                transfer,
                 &[
-                    ("scene_inference", reasoning_s * 0.2),
-                    ("rule_detection", reasoning_s * 0.6),
-                    ("rule_execution", reasoning_s * 0.2),
+                    ("scene_inference", reasoning * 0.2),
+                    ("rule_detection", reasoning * 0.6),
+                    ("rule_execution", reasoning * 0.2),
                 ],
             )
         }
@@ -71,7 +83,7 @@ pub fn graph_for(report: &Report) -> OpGraph {
             // Interleave over a nominal layer count.
             let layers = 4usize;
             let per = |total: f64| total / layers as f64;
-            OpGraph::compiled(&vec![(per(neural_s), per(symbolic_s)); layers])
+            OpGraph::compiled(&vec![(per(neural), per(symbolic)); layers])
         }
     }
 }
@@ -82,10 +94,20 @@ pub fn generate(set: &CharacterizationSet) -> Vec<Fig4Row> {
         .iter()
         .map(|report| {
             let stats = graph_for(report).analyze();
+            let host = stage_graph(
+                shape_of(report.workload()),
+                report.phase_duration(Phase::Neural).as_secs_f64(),
+                report
+                    .cell(Phase::Symbolic, OpCategory::DataMovement)
+                    .duration
+                    .as_secs_f64(),
+                report.phase_duration(Phase::Symbolic).as_secs_f64(),
+            )
+            .analyze();
             Fig4Row {
                 workload: report.workload().to_owned(),
                 shape: shape_of(report.workload()),
-                critical_path_ms: stats.critical_path_s * 1e3,
+                critical_path_ms: host.critical_path_s * 1e3,
                 critical_symbolic: stats.symbolic_critical_fraction(),
                 parallelism: stats.parallelism,
             }
@@ -97,11 +119,11 @@ pub fn generate(set: &CharacterizationSet) -> Vec<Fig4Row> {
 pub fn render(rows: &[Fig4Row]) -> String {
     let mut out = String::from(
         "== Fig. 4: operation-graph critical paths ==\n\
-         workload   shape       critical_ms   sym_on_critical   parallelism\n",
+         workload   shape       critical_ms   sym_bytes_on_critical   parallelism\n",
     );
     for r in rows {
         out.push_str(&format!(
-            "{:<9} {:<11} {:>10.2}   {:>14.1}%   {:>10.2}\n",
+            "{:<9} {:<11} {:>10.2}   {:>20.1}%   {:>10.2}\n",
             r.workload,
             format!("{:?}", r.shape),
             r.critical_path_ms,

@@ -276,6 +276,16 @@ fn kernel_specs(seed: u64) -> Vec<KernelSpec> {
             })
         },
         {
+            // NVSA's unbind (direct circular correlation) at the
+            // `nvsa-closed` dimension. The kernel is serial, so its
+            // widths should read alike.
+            let a = Hypervector::random(VsaModel::Hrr, 1024, seed ^ 0x65);
+            let b = Hypervector::random(VsaModel::Hrr, 1024, seed ^ 0x66);
+            spec("micro/vsa/unbind_hrr_1024", move || {
+                a.unbind(&b).expect("hrr unbind over fixed dim");
+            })
+        },
+        {
             let a = Hypervector::random(VsaModel::Bipolar, 8192, seed ^ 0x71);
             let b = Hypervector::random(VsaModel::Bipolar, 8192, seed ^ 0x72);
             spec("micro/vsa/bind_bipolar_8192", move || {

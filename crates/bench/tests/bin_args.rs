@@ -88,6 +88,38 @@ fn perf_compare_arg_and_io_errors_exit_2() {
 }
 
 #[test]
+fn closed_stdout_is_not_a_crash() {
+    // `figures tab1 rec6 | true`, `perf --list | true`: the reader is
+    // gone before anything is written. `figures` writes its JSON copies
+    // under the working directory, so it runs in a scratch one.
+    let scratch = std::env::temp_dir().join(format!("nsai-bench-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&scratch).expect("create scratch dir");
+    for (bin, args) in [
+        (env!("CARGO_BIN_EXE_figures"), &["--list"][..]),
+        (env!("CARGO_BIN_EXE_figures"), &["tab1", "rec6"][..]),
+        (env!("CARGO_BIN_EXE_perf"), &["--list"][..]),
+    ] {
+        let (reader, writer) = std::io::pipe().expect("create pipe");
+        drop(reader);
+        let out = Command::new(bin)
+            .args(args)
+            .current_dir(&scratch)
+            .stdout(writer)
+            .output()
+            .unwrap_or_else(|e| panic!("could not spawn {bin}: {e}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{bin} {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+    }
+    // Exhibits after the first failed print still export their JSON.
+    for name in ["tab1", "rec6"] {
+        let json = scratch.join("results").join(format!("{name}.json"));
+        assert!(json.is_file(), "{} not written", json.display());
+    }
+    let _ = std::fs::remove_dir_all(&scratch);
+}
+
+#[test]
 fn perf_list_prints_the_workload_manifest() {
     let out = run(env!("CARGO_BIN_EXE_perf"), &["--list"]);
     assert_eq!(out.status.code(), Some(0));

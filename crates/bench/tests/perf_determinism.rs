@@ -58,6 +58,8 @@ fn suite_covers_all_sections_with_expected_ids() {
     assert!(has("micro/matmul/96x96x96/w4"));
     assert!(has("micro/fft/circconv_4096/w1"));
     assert!(has("micro/vsa/bind_hrr_2048/w4"));
+    assert!(has("micro/vsa/unbind_hrr_1024/w1"));
+    assert!(has("micro/vsa/unbind_hrr_1024/w4"));
     assert!(has("workload/lnn/total"));
     assert!(has("workload/lnn/neural"));
     assert!(has("workload/lnn/symbolic"));

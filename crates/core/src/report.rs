@@ -9,6 +9,14 @@
 //! - Fig. 3b: what were the memory high-water marks and storage footprints?
 //! - Fig. 3c: where does each phase's aggregate operator land on a roofline?
 //! - Fig. 5: how sparse are the outputs of selected (named) operators?
+//!
+//! Each share comes in two measures. Host wall-clock shares
+//! ([`Report::phase_fraction`], [`Report::category_fraction`]) are what
+//! the figures report; they move with host load and with every kernel
+//! speedup. Work shares ([`Report::phase_bytes_fraction`],
+//! [`Report::category_flops_fraction`]) repeat exactly run to run, so the
+//! shape checks in [`crate::takeaways`] and the workload tests assert on
+//! them.
 
 use crate::event::OpEvent;
 use crate::memory::MemoryTracker;
@@ -176,12 +184,10 @@ impl Report {
     /// Fraction of total time spent in `phase`, in `[0, 1]`. Returns 0.0
     /// for an empty report.
     pub fn phase_fraction(&self, phase: Phase) -> f64 {
-        let total = self.total_duration().as_secs_f64();
-        if total <= 0.0 {
-            0.0
-        } else {
-            self.phase_duration(phase).as_secs_f64() / total
-        }
+        share(
+            self.phase_duration(phase).as_secs_f64(),
+            self.total_duration().as_secs_f64(),
+        )
     }
 
     /// Statistics for one `(phase, category)` cell (zero-filled if absent).
@@ -195,12 +201,10 @@ impl Report {
     /// Fraction of `phase`'s time spent in `category`, in `[0, 1]`.
     /// Returns 0.0 when the phase has no time.
     pub fn category_fraction(&self, phase: Phase, category: OpCategory) -> f64 {
-        let phase_total = self.phase_duration(phase).as_secs_f64();
-        if phase_total <= 0.0 {
-            0.0
-        } else {
-            self.cell(phase, category).duration.as_secs_f64() / phase_total
-        }
+        share(
+            self.cell(phase, category).duration.as_secs_f64(),
+            self.phase_duration(phase).as_secs_f64(),
+        )
     }
 
     /// Total FLOPs attributed to `phase`.
@@ -221,16 +225,29 @@ impl Report {
             .sum()
     }
 
-    /// Fraction of total FLOPs performed by `phase` (Takeaway 1's
-    /// "symbolic is 92.1% of time but 19% of FLOPs" contrast).
-    // nsai-lint: allow(dead-pub): candidate deterministic phase share for the takeaway checks, which still assert on host wall-clock shares (ROADMAP, "Shape checks on deterministic work").
-    pub fn phase_flops_fraction(&self, phase: Phase) -> f64 {
-        let total: u64 = Phase::ALL.iter().map(|p| self.phase_flops(*p)).sum();
-        if total == 0 {
-            0.0
-        } else {
-            self.phase_flops(phase) as f64 / total as f64
-        }
+    /// Total bytes moved across both phases.
+    pub fn total_bytes(&self) -> u64 {
+        self.cells.values().map(|c| c.bytes).sum()
+    }
+
+    /// Fraction of all bytes moved that `phase` moved, in `[0, 1]`; 0.0
+    /// for a report that moved none. The phase-share measure of the
+    /// shape checks: symbolic operators are memory-bound (Takeaway 4),
+    /// so their cost follows the bytes they stream, and the count is the
+    /// same on every host and every run.
+    pub fn phase_bytes_fraction(&self, phase: Phase) -> f64 {
+        share(self.phase_bytes(phase) as f64, self.total_bytes() as f64)
+    }
+
+    /// Fraction of `phase`'s FLOPs performed by `category`, in `[0, 1]`;
+    /// 0.0 for a phase with no FLOPs. The operator-mix measure of the
+    /// shape checks: the paper's MatMul/Conv claim (Takeaway 3) is about
+    /// compute.
+    pub fn category_flops_fraction(&self, phase: Phase, category: OpCategory) -> f64 {
+        share(
+            self.cell(phase, category).flops as f64,
+            self.phase_flops(phase) as f64,
+        )
     }
 
     /// Aggregate operational intensity of `phase` in FLOPs/byte; `None`
@@ -286,6 +303,15 @@ impl Report {
             out.push('\n');
         }
         out
+    }
+}
+
+/// `part / total`, or 0.0 when `total` is not positive.
+pub(crate) fn share(part: f64, total: f64) -> f64 {
+    if total <= 0.0 {
+        0.0
+    } else {
+        part / total
     }
 }
 
@@ -391,12 +417,19 @@ mod tests {
     }
 
     #[test]
-    fn flops_fraction_contrast() {
+    fn work_shares() {
         let r = sample_report();
-        // Neural: 10k flops; symbolic: 100 flops.
-        assert!(r.phase_flops_fraction(Phase::Neural) > 0.98);
-        // ... yet symbolic has 60% of the runtime — Takeaway 1's contrast.
-        assert!(r.phase_fraction(Phase::Symbolic) > 0.5);
+        // Symbolic moves 10k of 10.2k bytes.
+        assert_eq!(r.total_bytes(), 10_200);
+        assert!((r.phase_bytes_fraction(Phase::Symbolic) - 10_000.0 / 10_200.0).abs() < 1e-12);
+        // Neural FLOPs: 9k conv, 1k matmul.
+        assert!(
+            (r.category_flops_fraction(Phase::Neural, OpCategory::Convolution) - 0.9).abs() < 1e-12
+        );
+        assert_eq!(
+            r.category_flops_fraction(Phase::Symbolic, OpCategory::MatMul),
+            0.0
+        );
     }
 
     #[test]
@@ -426,6 +459,11 @@ mod tests {
         let r = Report::from_events("empty".into(), &[], MemoryTracker::new());
         assert_eq!(r.total_duration(), Duration::ZERO);
         assert_eq!(r.phase_fraction(Phase::Neural), 0.0);
+        assert_eq!(r.phase_bytes_fraction(Phase::Neural), 0.0);
+        assert_eq!(
+            r.category_flops_fraction(Phase::Neural, OpCategory::MatMul),
+            0.0
+        );
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! compiled into the neural structure and the phases interleave.
 //! [`OpGraph`] is a DAG of operator nodes with durations; its analysis
 //! yields critical-path length, per-phase critical-path share, and the
-//! available parallelism (total work over critical path).
+//! available parallelism (total work over critical path). The analysis
+//! only adds and compares node costs, so any one unit serves: the Fig. 4
+//! harness and the Takeaway 5 check weight each stage by the bytes it
+//! moves, which repeat exactly, and read the `_s` fields in that unit.
 
 use nsai_core::taxonomy::Phase;
 use serde::{Deserialize, Serialize};

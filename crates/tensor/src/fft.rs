@@ -8,6 +8,11 @@
 //! units."* Both a direct `O(d²)` kernel and an `O(d log d)` FFT kernel are
 //! provided; the perf suite's `ablate/circconv/*` entries quantify the
 //! difference.
+//!
+//! The two direct kernels, circular correlation (the HRR unbind) and
+//! direct circular convolution, share one blocked loop that gives the
+//! bits of the textbook modulo loop: each output sums the same products
+//! in the same order.
 
 use crate::dense::Tensor;
 use crate::error::TensorError;
@@ -98,6 +103,40 @@ fn check_vectors(a: &Tensor, b: &Tensor, op: &'static str) -> Result<usize, Tens
     Ok(a.numel())
 }
 
+/// Outputs the direct circular kernels compute per pass over their first
+/// operand: one block's accumulators stay in registers while the pass
+/// streams both operands once.
+pub const CORR_BLOCK: usize = 64;
+
+/// `out[k] = Σ_i a[i] · b[(i + k) mod n]`, each sum taken in ascending `i`
+/// from `0.0` — the order, and so the rounding, of the modulo loop.
+///
+/// Outputs are computed [`CORR_BLOCK`] at a time over a cyclic copy of
+/// `b`, so `b[(i + k) mod n]` is `cyclic[i + k]`: the inner loop runs
+/// across a block's outputs with no modulo and vectorizes, while each
+/// output's own sum keeps its order. A length that is not a multiple of
+/// the block width is padded with outputs that are computed and dropped.
+/// Serial on the calling thread.
+fn circular_corr_kernel(a: &[f32], b: &[f32]) -> Vec<f32> {
+    let n = a.len();
+    let padded = n.next_multiple_of(CORR_BLOCK);
+    let cyclic: Vec<f32> = b.iter().copied().cycle().take(padded + n).collect();
+    let mut out = vec![0.0f32; padded];
+    for (block, slots) in out.chunks_exact_mut(CORR_BLOCK).enumerate() {
+        let k0 = block * CORR_BLOCK;
+        let mut acc = [0.0f32; CORR_BLOCK];
+        for (i, &ai) in a.iter().enumerate() {
+            let window = &cyclic[k0 + i..k0 + i + CORR_BLOCK];
+            for (acc, &bv) in acc.iter_mut().zip(window) {
+                *acc += ai * bv;
+            }
+        }
+        slots.copy_from_slice(&acc);
+    }
+    out.truncate(n);
+    out
+}
+
 impl Tensor {
     /// Circular convolution by the direct `O(d²)` definition:
     /// `out[k] = Σ_i a[i] · b[(k − i) mod d]`.
@@ -111,14 +150,14 @@ impl Tensor {
             "circular_conv_direct",
             OpCategory::VectorElementwise,
             || {
-                let mut out = vec![0.0f32; n];
-                for (k, slot) in out.iter_mut().enumerate() {
-                    let mut acc = 0.0f32;
-                    for i in 0..n {
-                        acc += self.data()[i] * other.data()[(k + n - i) % n];
-                    }
-                    *slot = acc;
-                }
+                // By index reversal, r[j] = b[(n − j) mod n] turns the
+                // convolution into a correlation:
+                // out[k] = Σ_i a[i] · r[(i + m) mod n] with m = (n − k) mod n,
+                // the same products in the same order over `i`.
+                let b = other.data();
+                let reversed: Vec<f32> = (0..n).map(|j| b[(n - j) % n]).collect();
+                let corr = circular_corr_kernel(self.data(), &reversed);
+                let out = (0..n).map(|k| corr[(n - k) % n]).collect();
                 Tensor::from_vec_unchecked(out, Shape::new(&[n]))
             },
             |out| {
@@ -181,7 +220,9 @@ impl Tensor {
 
     /// Circular *correlation* — the approximate inverse of circular
     /// convolution used for unbinding holographic representations:
-    /// `out[k] = Σ_i a[i] · b[(i + k) mod d]`.
+    /// `out[k] = Σ_i a[i] · b[(i + k) mod d]`, computed [`CORR_BLOCK`]
+    /// outputs at a time with each sum in ascending `i`, so the result is
+    /// bitwise that of the modulo loop.
     ///
     /// # Errors
     ///
@@ -192,14 +233,7 @@ impl Tensor {
             "circular_corr",
             OpCategory::VectorElementwise,
             || {
-                let mut out = vec![0.0f32; n];
-                for (k, slot) in out.iter_mut().enumerate() {
-                    let mut acc = 0.0f32;
-                    for i in 0..n {
-                        acc += self.data()[i] * other.data()[(i + k) % n];
-                    }
-                    *slot = acc;
-                }
+                let out = circular_corr_kernel(self.data(), other.data());
                 Tensor::from_vec_unchecked(out, Shape::new(&[n]))
             },
             |out| {

@@ -1,5 +1,6 @@
 //! Property-based tests of the tensor substrate's algebraic laws.
 
+use nsai_tensor::fft::CORR_BLOCK;
 use nsai_tensor::{CooMatrix, Tensor};
 use proptest::prelude::*;
 
@@ -138,5 +139,70 @@ proptest! {
         let mask = Tensor::from_vec(mask_data, &[n]).unwrap();
         let selected = t.masked_select(&mask).unwrap();
         prop_assert_eq!(selected.numel(), expected);
+    }
+}
+
+/// The modulo loops both direct circular kernels are defined by:
+/// correlation `Σ_i a[i] · b[(i + k) mod n]` and convolution
+/// `Σ_i a[i] · b[(k − i) mod n]`, each summed in ascending `i` from 0.
+fn modulo_reference(a: &[f32], b: &[f32], correlate: bool) -> Vec<f32> {
+    let n = a.len();
+    (0..n)
+        .map(|k| {
+            let mut acc = 0.0f32;
+            for (i, ai) in a.iter().enumerate() {
+                let j = if correlate {
+                    (i + k) % n
+                } else {
+                    (k + n - i) % n
+                };
+                acc += ai * b[j];
+            }
+            acc
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The blocked kernels give the modulo loops' bits at every block
+    /// boundary case and at the VSA dimensions. Operands span several
+    /// orders of magnitude, so a change in summation order shows up as
+    /// a changed bit.
+    #[test]
+    fn direct_circular_kernels_are_bitwise_the_modulo_loop(seed in 0u64..1_000_000) {
+        let lengths = [
+            1, 2, 3, CORR_BLOCK - 1, CORR_BLOCK, CORR_BLOCK + 1, 128, 1000, 1024, 2048,
+        ];
+        for (offset, n) in lengths.into_iter().enumerate() {
+            let scale = Tensor::rand_uniform(&[n], -6.0, 6.0, seed ^ 0x5ca1e);
+            let a: Vec<f32> = Tensor::rand_uniform(&[n], -1.0, 1.0, seed + offset as u64)
+                .data()
+                .iter()
+                .zip(scale.data())
+                .map(|(v, s)| v * s.exp2())
+                .collect();
+            let b = Tensor::rand_uniform(&[n], -1.0, 1.0, seed ^ (0xb0 + offset as u64));
+            let ta = Tensor::from_vec(a.clone(), &[n]).unwrap();
+            for (correlate, got) in [
+                (true, ta.circular_corr(&b).unwrap()),
+                (false, ta.circular_conv_direct(&b).unwrap()),
+            ] {
+                let want = modulo_reference(&a, b.data(), correlate);
+                for (k, (x, y)) in got.data().iter().zip(&want).enumerate() {
+                    prop_assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "n {} output {} ({}): {} vs {}",
+                        n,
+                        k,
+                        if correlate { "corr" } else { "conv" },
+                        x,
+                        y
+                    );
+                }
+            }
+        }
     }
 }

@@ -632,8 +632,8 @@ mod tests {
             let _ = lnn.run().unwrap();
         }
         let report = profiler.report_for("lnn");
-        let neural = report.phase_fraction(Phase::Neural);
-        let symbolic = report.phase_fraction(Phase::Symbolic);
+        let neural = report.phase_bytes_fraction(Phase::Neural);
+        let symbolic = report.phase_bytes_fraction(Phase::Symbolic);
         assert!(neural > 0.05, "neural {neural}");
         assert!(symbolic > 0.05, "symbolic {symbolic}");
         // LNN's signature: data movement shows up in the trace.

@@ -354,10 +354,10 @@ mod tests {
             let _ = ltn.run().unwrap();
         }
         let report = profiler.report_for("ltn");
-        let matmul_share = report.category_fraction(Phase::Neural, OpCategory::MatMul);
+        let matmul_share = report.category_flops_fraction(Phase::Neural, OpCategory::MatMul);
         assert!(matmul_share > 0.3, "matmul share {matmul_share}");
         // Symbolic work exists.
-        assert!(report.phase_fraction(Phase::Symbolic) > 0.02);
+        assert!(report.phase_bytes_fraction(Phase::Symbolic) > 0.02);
     }
 
     #[test]

@@ -271,10 +271,10 @@ mod tests {
             let _ = vsait.run().unwrap();
         }
         let report = profiler.report_for("vsait");
-        let conv_share = report.category_fraction(Phase::Neural, OpCategory::Convolution);
+        let conv_share = report.category_flops_fraction(Phase::Neural, OpCategory::Convolution);
         assert!(conv_share > 0.5, "conv share {conv_share}");
         // The symbolic phase exists and contains element-wise VSA work.
-        assert!(report.phase_fraction(Phase::Symbolic) > 0.1);
+        assert!(report.phase_bytes_fraction(Phase::Symbolic) > 0.1);
         let elem = report.cell(Phase::Symbolic, OpCategory::VectorElementwise);
         assert!(elem.invocations > 0);
     }

@@ -433,9 +433,9 @@ mod tests {
             let _ = zeroc.run().unwrap();
         }
         let report = profiler.report_for("zeroc");
-        let neural = report.phase_fraction(Phase::Neural);
+        let neural = report.phase_bytes_fraction(Phase::Neural);
         assert!(neural > 0.5, "neural fraction {neural}");
-        let conv = report.category_fraction(Phase::Neural, OpCategory::Convolution);
+        let conv = report.category_flops_fraction(Phase::Neural, OpCategory::Convolution);
         assert!(conv > 0.8, "conv share {conv}");
     }
 

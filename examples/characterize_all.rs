@@ -35,14 +35,15 @@ fn main() {
     let reports = run_all();
 
     println!();
-    println!("workload   total_ms   neural   symbolic   events");
+    println!("workload   total_ms   neural   symbolic   sym_bytes   events");
     for r in &reports {
         println!(
-            "{:<9} {:>9.2}  {:>6.1}%  {:>8.1}%  {:>7}",
+            "{:<9} {:>9.2}  {:>6.1}%  {:>8.1}%  {:>9.1}%  {:>7}",
             r.workload(),
             r.total_duration().as_secs_f64() * 1e3,
             r.phase_fraction(Phase::Neural) * 100.0,
             r.phase_fraction(Phase::Symbolic) * 100.0,
+            r.phase_bytes_fraction(Phase::Symbolic) * 100.0,
             r.event_count()
         );
     }
